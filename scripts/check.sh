@@ -7,17 +7,16 @@
 #                         [--asan] [--tsan] [build-dir]
 #                         (default build-dir: build-check)
 #   --bench  additionally smoke-run the tracked perf benchmarks (1 iteration,
-#            via scripts/bench.sh --smoke) so the bench binaries cannot
-#            bit-rot; BENCH_core.json is not modified.
+#            via scripts/bench.sh --smoke) and bench_suite (bench_suite/run.sh
+#            --smoke), so the bench binaries cannot bit-rot against the
+#            library API; BENCH_core.json is not modified.
 #   --scen   additionally smoke-run the scenario-file driver: scenrun on every
 #            checked-in example grid, then re-run each grid sharded in two
 #            halves (--cells) and verify scenmerge reassembles dumps
 #            byte-identical to the unsharded run.
 #   --store  additionally smoke-run the result store: cold run of an example
 #            grid with --store, warm re-run asserted 100% hits with
-#            byte-identical dumps, scenstore ls/stats/gc, and a scenlaunch
-#            host-manifest run WITH an injected straggler whose re-dispatched
-#            merge must still match the cold run byte for byte.
+#            byte-identical dumps, and scenstore ls/stats/gc.
 #   --faults additionally smoke-run the fault-injection layer: the corruption
 #            grid sharded across scenlaunch workers against the unsharded run
 #            (stabilization metrics must be byte-identical across shard
@@ -74,6 +73,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 if [[ "$RUN_BENCH" -eq 1 ]]; then
   scripts/bench.sh --smoke "$BUILD_DIR-bench"
+  bash bench_suite/run.sh --smoke
 fi
 
 SCEN_TMP=""
@@ -150,18 +150,6 @@ if [[ "$RUN_STORE" -eq 1 ]]; then
   "$BUILD_DIR/scenstore" "$STORE" gc --keep-days 0 | grep -q "entries=0" \
     || { echo "check.sh: scenstore gc --keep-days 0 left entries behind" >&2; exit 1; }
   echo "check.sh: store smoke OK: scenstore ls/stats/gc"
-
-  # Multi-host launcher against a host manifest, with shard 1's first
-  # attempt wedged (no heartbeat): the monitor must re-dispatch it and the
-  # merged dumps must STILL be byte-identical to the cold unsharded run.
-  printf 'local 2\nlocal 1\n' > "$STORE_TMP/hosts"
-  scripts/scenlaunch.sh "$GRID" --hosts "$STORE_TMP/hosts" --shards 4 \
-    --build-dir "$BUILD_DIR" --store "$STORE" \
-    --test-straggle 1 --heartbeat 2 --retries 2 \
-    --csv "$STORE_TMP/launched.csv" --json "$STORE_TMP/launched.json"
-  diff "$STORE_TMP/cold.csv" "$STORE_TMP/launched.csv"
-  diff "$STORE_TMP/cold.json" "$STORE_TMP/launched.json"
-  echo "check.sh: store smoke OK: scenlaunch straggler re-dispatch, byte-identical"
 fi
 
 if [[ "$RUN_FAULTS" -eq 1 ]]; then

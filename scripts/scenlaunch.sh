@@ -1,78 +1,49 @@
 #!/usr/bin/env bash
-# scenlaunch — multi-host shard launcher for scenario-file grids.
+# scenlaunch — local shard launcher for scenario-file grids.
 #
-# Splits a grid's global cell range into contiguous --cells A:B shards and
-# dispatches one scenrun worker per shard across a pool of execution slots:
-# local processes, remote hosts over ssh, or a mix (host manifest). Workers
-# emit a heartbeat while they run; a shard whose heartbeat goes stale or
-# whose wall-clock budget expires is a straggler — it is killed and
-# re-dispatched on the next free slot (up to --retries). Finished shard
-# dumps are scenmerged into the final CSV/JSON, byte-identical to an
-# unsharded run (cells are pure functions of their spec, so WHERE and HOW
-# OFTEN a shard ran can never show up in the bytes) — `scripts/check.sh
-# --scen/--store` asserts exactly that, straggler re-dispatch included.
+# Splits a grid's global cell range into contiguous --cells A:B shards, runs
+# one scenrun worker process per shard with at most N running at once, and
+# scenmerges the shard dumps into the final CSV/JSON. The merge is
+# byte-identical to an unsharded run (cells are pure functions of their
+# spec, so how the grid was split can never show up in the bytes) —
+# `scripts/check.sh --scen/--faults/--scale` asserts exactly that.
 #
-# Usage: scripts/scenlaunch.sh GRID.json (--workers N | --hosts FILE) [options]
-#   --workers N      N local worker slots (shorthand for a manifest of
-#                    "local N")
-#   --hosts FILE     host manifest: one "HOST [SLOTS]" per line (# comments).
-#                    HOST "local" runs in-process; anything else dispatches
-#                    via "ssh -o BatchMode=yes HOST" and streams the shard
-#                    dumps back over the connection (no shared filesystem
-#                    needed; the repo + build dir must exist at --remote-dir
-#                    on every remote host)
+# Usage: scripts/scenlaunch.sh GRID.json --workers N [options]
+#   --workers N      worker processes running at once
 #   --csv FILE       merged CSV output
 #   --json FILE      merged JSON output       (at least one of --csv/--json)
-#   --shards N       shard count (default: one per slot; oversplit for
-#                    better straggler recovery on heterogeneous pools)
-#   --store DIR      pass --store DIR to every worker (give all hosts the
-#                    same shared path for cross-host cache reuse)
+#   --shards N       shard count (default: one per worker; oversplit to
+#                    balance uneven cells)
+#   --store DIR      pass --store DIR to every worker
 #   --no-cache       pass --no-cache to every worker
 #   --threads N      threads per worker (scenrun --threads; default 1)
-#   --heartbeat SEC  heartbeat staleness that marks a straggler (default 30)
-#   --shard-timeout SEC  wall-clock cap per shard attempt (default 600)
-#   --retries N      re-dispatches allowed per shard (default 2)
-#   --remote-dir DIR repo root on ssh hosts (default: this repo's root path)
 #   --build-dir DIR  directory holding scenrun/scenmerge (default: build)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n 's/^# \{0,1\}//p' "$0" | sed -n '2,37p'
+  sed -n 's/^# \{0,1\}//p' "$0" | sed -n '2,20p'
 }
 
 GRID=""
 WORKERS=0
-HOSTS_FILE=""
 CSV_OUT=""
 JSON_OUT=""
 SHARDS=0
-STORE_DIR=""
-NO_CACHE=0
+STORE_ARGS=()
 THREADS=1
-HB_TIMEOUT=30
-SHARD_TIMEOUT=600
-RETRIES=2
-REMOTE_DIR="$PWD"
 BUILD_DIR="build"
-TEST_STRAGGLE=-1   # hidden: shard whose first attempt wedges (no heartbeat)
 while [[ $# -gt 0 ]]; do
   case "$1" in
     -h|--help) usage; exit 0 ;;
     --workers) WORKERS="$2"; shift 2 ;;
-    --hosts) HOSTS_FILE="$2"; shift 2 ;;
     --csv) CSV_OUT="$2"; shift 2 ;;
     --json) JSON_OUT="$2"; shift 2 ;;
     --shards) SHARDS="$2"; shift 2 ;;
-    --store) STORE_DIR="$2"; shift 2 ;;
-    --no-cache) NO_CACHE=1; shift ;;
+    --store) STORE_ARGS+=(--store "$2"); shift 2 ;;
+    --no-cache) STORE_ARGS+=(--no-cache); shift ;;
     --threads) THREADS="$2"; shift 2 ;;
-    --heartbeat) HB_TIMEOUT="$2"; shift 2 ;;
-    --shard-timeout) SHARD_TIMEOUT="$2"; shift 2 ;;
-    --retries) RETRIES="$2"; shift 2 ;;
-    --remote-dir) REMOTE_DIR="$2"; shift 2 ;;
     --build-dir) BUILD_DIR="$2"; shift 2 ;;
-    --test-straggle) TEST_STRAGGLE="$2"; shift 2 ;;
     -*) echo "scenlaunch: unknown option: $1" >&2; usage >&2; exit 2 ;;
     *)
       [[ -z "$GRID" ]] || { echo "scenlaunch: more than one grid file" >&2; exit 2; }
@@ -83,179 +54,52 @@ done
 [[ -n "$GRID" ]] || { echo "scenlaunch: no grid file given" >&2; usage >&2; exit 2; }
 [[ -n "$CSV_OUT" || -n "$JSON_OUT" ]] \
   || { echo "scenlaunch: need --csv and/or --json output" >&2; exit 2; }
+[[ "$WORKERS" =~ ^[0-9]+$ && "$WORKERS" -ge 1 ]] \
+  || { echo "scenlaunch: need --workers N (>= 1)" >&2; exit 2; }
 SCENRUN="$BUILD_DIR/scenrun"
 SCENMERGE="$BUILD_DIR/scenmerge"
 [[ -x "$SCENRUN" && -x "$SCENMERGE" ]] \
   || { echo "scenlaunch: $SCENRUN / $SCENMERGE not built (cmake --build $BUILD_DIR)" >&2; exit 1; }
 
-# --- Slot pool: expand (--workers | --hosts) into one host name per slot -----
-SLOT_HOST=()
-if [[ -n "$HOSTS_FILE" ]]; then
-  [[ -r "$HOSTS_FILE" ]] || { echo "scenlaunch: cannot read hosts file: $HOSTS_FILE" >&2; exit 2; }
-  while read -r host slots _; do
-    [[ -n "$host" && "$host" != \#* ]] || continue
-    [[ -n "$slots" ]] || slots=1
-    [[ "$slots" =~ ^[0-9]+$ && "$slots" -ge 1 ]] \
-      || { echo "scenlaunch: bad slot count for host $host: $slots" >&2; exit 2; }
-    for (( s = 0; s < slots; s++ )); do SLOT_HOST+=("$host"); done
-  done < "$HOSTS_FILE"
-  [[ ${#SLOT_HOST[@]} -ge 1 ]] || { echo "scenlaunch: empty hosts file" >&2; exit 2; }
-else
-  [[ "$WORKERS" =~ ^[0-9]+$ && "$WORKERS" -ge 1 ]] \
-    || { echo "scenlaunch: need --workers N (>= 1) or --hosts FILE" >&2; exit 2; }
-  for (( s = 0; s < WORKERS; s++ )); do SLOT_HOST+=(local); done
-fi
-NSLOTS=${#SLOT_HOST[@]}
-
 TOTAL="$("$SCENRUN" "$GRID" --count)"
-(( SHARDS >= 1 )) || SHARDS=$NSLOTS
+(( SHARDS >= 1 )) || SHARDS=$WORKERS
 (( SHARDS <= TOTAL )) || SHARDS=$TOTAL
-(( NSLOTS <= SHARDS )) || NSLOTS=$SHARDS
-
-STORE_ARGS=""
-[[ -z "$STORE_DIR" ]] || STORE_ARGS="--store '$STORE_DIR'"
-(( NO_CACHE == 0 )) || STORE_ARGS="$STORE_ARGS --no-cache"
 
 TMP="$(mktemp -d)"
-cleanup() {
-  # Kill any worker process groups still running, then drop the scratch dir.
-  local pid
-  for pid in "${SLOT_PID[@]:-}"; do
-    [[ -z "$pid" ]] || kill -TERM -- "-$pid" 2>/dev/null || true
-  done
-  rm -rf "$TMP"
-}
-trap cleanup EXIT
+# On a failed launch, stop the workers still running before dropping TMP.
+trap 'kill $(jobs -pr) 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 # Contiguous near-even split: the first (TOTAL % SHARDS) shards get one
-# extra cell, covering [0, TOTAL) exactly.
-SHARD_RANGE=()
+# extra cell, covering [0, TOTAL) exactly. At most WORKERS shards run at
+# once; the first failure stops the launch.
 lo=0
+running=0
 for (( sh = 0; sh < SHARDS; sh++ )); do
   size=$(( TOTAL / SHARDS + (sh < TOTAL % SHARDS ? 1 : 0) ))
-  SHARD_RANGE+=("$lo:$(( lo + size ))")
+  if (( running >= WORKERS )); then
+    wait -n || { echo "scenlaunch: a worker failed (logs: see above)" >&2; exit 1; }
+    running=$(( running - 1 ))
+  fi
+  "$SCENRUN" "$GRID" --cells "$lo:$(( lo + size ))" --threads "$THREADS" \
+    ${STORE_ARGS[@]+"${STORE_ARGS[@]}"} \
+    --csv "$TMP/out.$sh.csv" --json "$TMP/out.$sh.json" &
+  running=$(( running + 1 ))
   lo=$(( lo + size ))
 done
-
-# --- Dispatch ----------------------------------------------------------------
-# A worker is a setsid'd process group: a heartbeat loop touching hb.SHARD
-# once a second, plus the actual scenrun (local) or ssh pipeline (remote).
-# Remote shards write to a remote mktemp dir and stream a tar of the two
-# dumps back over the ssh connection — no shared filesystem required.
-launch_shard() {
-  local slot=$1 shard=$2 attempt=$3
-  local host=${SLOT_HOST[$slot]}
-  local range=${SHARD_RANGE[$shard]}
-  local hb="$TMP/hb.$shard"
-  local ocsv="$TMP/out.$shard.$attempt.csv" ojson="$TMP/out.$shard.$attempt.json"
-  local inner
-
-  if [[ "$shard" == "$TEST_STRAGGLE" && "$attempt" -eq 1 ]]; then
-    # Fault injection for the smoke suite: a wedged worker — alive, silent,
-    # no heartbeat. The monitor must detect and re-dispatch it.
-    inner="exec sleep 100000"
-  elif [[ "$host" == local || "$host" == localhost ]]; then
-    inner="( while :; do touch '$hb'; sleep 1; done ) & hbpid=\$!
-trap 'kill \$hbpid 2>/dev/null' EXIT
-'$SCENRUN' '$GRID' --cells '$range' --threads '$THREADS' $STORE_ARGS \
-  --csv '$ocsv' --json '$ojson'"
-  else
-    local remote="set -e; cd '$REMOTE_DIR'; t=\$(mktemp -d); trap 'rm -rf \"\$t\"' EXIT
-'$BUILD_DIR/scenrun' '$GRID' --cells '$range' --threads '$THREADS' $STORE_ARGS \
-  --csv \"\$t/s.csv\" --json \"\$t/s.json\" 1>&2
-tar -C \"\$t\" -cf - s.csv s.json"
-    inner="set -e
-( while :; do touch '$hb'; sleep 1; done ) & hbpid=\$!
-trap 'kill \$hbpid 2>/dev/null' EXIT
-ssh -o BatchMode=yes '$host' ${remote@Q} > '$TMP/out.$shard.$attempt.tar'
-mkdir -p '$TMP/x.$shard.$attempt'
-tar -xf '$TMP/out.$shard.$attempt.tar' -C '$TMP/x.$shard.$attempt'
-mv '$TMP/x.$shard.$attempt/s.csv' '$ocsv'
-mv '$TMP/x.$shard.$attempt/s.json' '$ojson'"
-  fi
-
-  touch "$hb"
-  setsid bash -c "$inner" > "$TMP/log.$shard.$attempt" 2>&1 &
-  SLOT_PID[$slot]=$!
-  SLOT_SHARD[$slot]=$shard
-  SLOT_ATTEMPT[$slot]=$attempt
-  SLOT_START[$slot]=$(date +%s)
-}
-
-QUEUE=()
-for (( sh = 0; sh < SHARDS; sh++ )); do QUEUE+=("$sh"); done
-SLOT_PID=()
-SLOT_SHARD=()
-SLOT_ATTEMPT=()
-SLOT_START=()
-for (( s = 0; s < NSLOTS; s++ )); do SLOT_PID[$s]=""; done
-declare -A ATTEMPTS DONE_ATTEMPT
-DONE_COUNT=0
-REDISPATCHED=0
-
-requeue_or_fail() {
-  local shard=$1 why=$2
-  if (( ${ATTEMPTS[$shard]} > RETRIES )); then
-    echo "scenlaunch: shard ${SHARD_RANGE[$shard]} failed after ${ATTEMPTS[$shard]} attempt(s): $why" >&2
-    sed 's/^/scenlaunch:   worker: /' "$TMP/log.$shard.${ATTEMPTS[$shard]}" >&2 || true
-    exit 1
-  fi
-  echo "scenlaunch: shard ${SHARD_RANGE[$shard]} $why — re-dispatching" >&2
-  REDISPATCHED=$(( REDISPATCHED + 1 ))
-  QUEUE+=("$shard")
-}
-
-while (( DONE_COUNT < SHARDS )); do
-  progressed=0
-  for (( s = 0; s < NSLOTS; s++ )); do
-    pid=${SLOT_PID[$s]}
-    if [[ -n "$pid" ]]; then
-      shard=${SLOT_SHARD[$s]}
-      attempt=${SLOT_ATTEMPT[$s]}
-      if kill -0 "$pid" 2>/dev/null; then
-        now=$(date +%s)
-        hb_mtime=$(stat -c %Y "$TMP/hb.$shard" 2>/dev/null || echo 0)
-        if (( now - hb_mtime > HB_TIMEOUT )) || (( now - SLOT_START[$s] > SHARD_TIMEOUT )); then
-          kill -TERM -- "-$pid" 2>/dev/null || true
-          wait "$pid" 2>/dev/null || true
-          SLOT_PID[$s]=""
-          requeue_or_fail "$shard" "straggling (heartbeat stale or over budget), killed"
-          progressed=1
-        fi
-      else
-        rc=0; wait "$pid" || rc=$?
-        SLOT_PID[$s]=""
-        if [[ "$rc" -eq 0 && -s "$TMP/out.$shard.$attempt.csv" \
-              && -s "$TMP/out.$shard.$attempt.json" ]]; then
-          DONE_ATTEMPT[$shard]=$attempt
-          DONE_COUNT=$(( DONE_COUNT + 1 ))
-        else
-          requeue_or_fail "$shard" "worker exited rc=$rc"
-        fi
-        progressed=1
-      fi
-    fi
-    if [[ -z "${SLOT_PID[$s]}" && ${#QUEUE[@]} -gt 0 ]]; then
-      shard=${QUEUE[0]}
-      QUEUE=("${QUEUE[@]:1}")
-      ATTEMPTS[$shard]=$(( ${ATTEMPTS[$shard]:-0} + 1 ))
-      launch_shard "$s" "$shard" "${ATTEMPTS[$shard]}"
-      progressed=1
-    fi
-  done
-  (( progressed == 1 )) || sleep 0.2
+for (( ; running > 0; running-- )); do
+  wait -n || { echo "scenlaunch: a worker failed (logs: see above)" >&2; exit 1; }
 done
 
 # --- Merge (shard order is irrelevant — scenmerge re-orders by cell index) ---
 if [[ -n "$CSV_OUT" ]]; then
   CSVS=()
-  for (( sh = 0; sh < SHARDS; sh++ )); do CSVS+=("$TMP/out.$sh.${DONE_ATTEMPT[$sh]}.csv"); done
+  for (( sh = 0; sh < SHARDS; sh++ )); do CSVS+=("$TMP/out.$sh.csv"); done
   "$SCENMERGE" -o "$CSV_OUT" "${CSVS[@]}"
 fi
 if [[ -n "$JSON_OUT" ]]; then
   JSONS=()
-  for (( sh = 0; sh < SHARDS; sh++ )); do JSONS+=("$TMP/out.$sh.${DONE_ATTEMPT[$sh]}.json"); done
+  for (( sh = 0; sh < SHARDS; sh++ )); do JSONS+=("$TMP/out.$sh.json"); done
   "$SCENMERGE" -o "$JSON_OUT" "${JSONS[@]}"
 fi
-echo "scenlaunch: $TOTAL cells, $SHARDS shard(s) across $NSLOTS slot(s)," \
-     "$REDISPATCHED re-dispatch(es) -> ${CSV_OUT:-}${CSV_OUT:+ }${JSON_OUT:-}"
+echo "scenlaunch: $TOTAL cells, $SHARDS shard(s) across $WORKERS worker(s)" \
+     "-> ${CSV_OUT:-}${CSV_OUT:+ }${JSON_OUT:-}"

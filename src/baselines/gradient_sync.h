@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "baselines/baseline.h"
+#include "sim/process.h"
 
 /// Gradient clock synchronization (GCS) baseline — the protocol family of
 /// Fan & Lynch / Lenzen–Locher–Wattenhofer, built for *general graphs* where

@@ -59,8 +59,4 @@ void HssdProtocol::try_accept(Context& ctx, Round k, const crypto::Signature& si
   arm_broadcast(ctx);
 }
 
-BaselineResult run_hssd(const BaselineSpec& spec) {
-  return to_baseline_result(experiment::run_scenario(to_scenario(spec, "hssd")));
-}
-
 }  // namespace stclock::baselines

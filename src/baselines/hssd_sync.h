@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "baselines/baseline.h"
+#include "sim/process.h"
 
 /// HSSD-style authenticated synchronization (after Halpern, Simons, Strong &
 /// Dolev, PODC 1984) — the signature-based competitor the paper improves on.
@@ -18,7 +18,9 @@
 /// advancing every correct clock by ~W per period. The result is
 /// constant-factor drift amplification ~ (1 + W/P), which no hardware
 /// quality or period choice removes — exactly the accuracy weakness the
-/// Srikanth–Toueg quorum rule eliminates.
+/// Srikanth–Toueg quorum rule eliminates. The matching attack is
+/// AttackKind::kHssdEarly (adversary/strategies.h): corrupted nodes sign each
+/// round the moment any honest window opens.
 namespace stclock::baselines {
 
 struct HssdParams {
@@ -50,9 +52,5 @@ class HssdProtocol final : public Process {
   Round next_broadcast_ = 1;  ///< next round to sign & broadcast at kP
   TimerId broadcast_timer_ = 0;
 };
-
-/// The matching attack is AttackKind::kHssdEarly (adversary/strategies.h):
-/// corrupted nodes sign each round the moment any honest window opens.
-[[nodiscard]] BaselineResult run_hssd(const BaselineSpec& spec);
 
 }  // namespace stclock::baselines

@@ -63,9 +63,4 @@ void CnvProtocol::finish_round(Context& ctx) {
   arm_broadcast(ctx);
 }
 
-BaselineResult run_interactive_convergence(const BaselineSpec& spec) {
-  return to_baseline_result(
-      experiment::run_scenario(to_scenario(spec, "interactive_convergence")));
-}
-
 }  // namespace stclock::baselines

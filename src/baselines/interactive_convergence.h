@@ -2,7 +2,7 @@
 
 #include <map>
 
-#include "baselines/baseline.h"
+#include "sim/process.h"
 
 /// Interactive convergence (CNV) — Lamport & Melliar-Smith's averaging
 /// algorithm, the classic pre-Srikanth–Toueg baseline.
@@ -52,7 +52,5 @@ class CnvProtocol final : public Process {
   /// Offset estimates per round per sender (first reading wins).
   std::map<Round, std::map<NodeId, Duration>> offsets_;
 };
-
-[[nodiscard]] BaselineResult run_interactive_convergence(const BaselineSpec& spec);
 
 }  // namespace stclock::baselines

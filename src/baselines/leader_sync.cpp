@@ -31,12 +31,4 @@ void LeaderProtocol::on_timer(Context& ctx, TimerId id) {
   timer_ = ctx.set_timer_at_logical(period_ * static_cast<double>(round_));
 }
 
-BaselineResult run_leader_sync(const BaselineSpec& spec, bool corrupt_leader) {
-  // The registry entries carry the leader placement and forced attack: the
-  // engine corrupts the highest ids, so "leader_corrupt" leads from the last
-  // node, "leader" from node 0 with no attack.
-  return to_baseline_result(experiment::run_scenario(
-      to_scenario(spec, corrupt_leader ? "leader_corrupt" : "leader")));
-}
-
 }  // namespace stclock::baselines

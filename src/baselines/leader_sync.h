@@ -1,6 +1,6 @@
 #pragma once
 
-#include "baselines/baseline.h"
+#include "sim/process.h"
 
 /// Naive leader-based synchronization (an NTP-like strawman): node 0
 /// broadcasts its clock every period; followers slave to it. With an honest
@@ -25,9 +25,5 @@ class LeaderProtocol final : public Process {
   Round round_ = 1;
   TimerId timer_ = 0;
 };
-
-/// `corrupt_leader` puts the leader under adversary control (a strategy that
-/// feeds followers a clock running 10% fast) — the breakdown demo.
-[[nodiscard]] BaselineResult run_leader_sync(const BaselineSpec& spec, bool corrupt_leader);
 
 }  // namespace stclock::baselines

@@ -70,8 +70,4 @@ void LwProtocol::finish_round(Context& ctx) {
   arm_broadcast(ctx);
 }
 
-BaselineResult run_lundelius_welch(const BaselineSpec& spec) {
-  return to_baseline_result(experiment::run_scenario(to_scenario(spec, "lundelius_welch")));
-}
-
 }  // namespace stclock::baselines

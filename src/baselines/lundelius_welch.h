@@ -2,7 +2,7 @@
 
 #include <map>
 
-#include "baselines/baseline.h"
+#include "sim/process.h"
 
 /// Lundelius–Welch fault-tolerant averaging (PODC 1984) — the strongest
 /// contemporaneous baseline: like CNV it is a round-based averaging
@@ -42,7 +42,5 @@ class LwProtocol final : public Process {
   TimerId collect_timer_ = 0;
   std::map<Round, std::map<NodeId, Duration>> offsets_;
 };
-
-[[nodiscard]] BaselineResult run_lundelius_welch(const BaselineSpec& spec);
 
 }  // namespace stclock::baselines

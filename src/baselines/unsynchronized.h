@@ -1,6 +1,6 @@
 #pragma once
 
-#include "baselines/baseline.h"
+#include "sim/process.h"
 
 /// Free-running clocks: no synchronization at all. Skew grows linearly at
 /// the relative drift rate gamma = (1+rho) - 1/(1+rho). This is the control
@@ -14,7 +14,5 @@ class UnsynchronizedProtocol final : public Process {
   void on_message(Context&, NodeId, const Message&) override {}
   void on_timer(Context&, TimerId) override {}
 };
-
-[[nodiscard]] BaselineResult run_unsynchronized(const BaselineSpec& spec);
 
 }  // namespace stclock::baselines

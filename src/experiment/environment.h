@@ -12,9 +12,9 @@
 
 /// Environment knobs shared by every scenario: which hardware-clock
 /// trajectory family the honest fleet runs on, and how honest-to-honest
-/// message delays are assigned within [0, tdel]. These used to live in
-/// core/runner.h; they belong to the experiment layer because they describe
-/// the *world* a protocol runs in, not the protocol itself.
+/// message delays are assigned within [0, tdel]. They belong to the
+/// experiment layer because they describe the *world* a protocol runs in,
+/// not the protocol itself.
 namespace stclock {
 
 /// Hardware-clock trajectory family for the honest fleet.

@@ -256,13 +256,6 @@ void validate_spec_structure(const ScenarioSpec& spec, EngineMode mode) {
 
 }  // namespace
 
-ScenarioResult run_scenario(const ScenarioSpec& spec) {
-  const ProtocolRegistry::Entry& entry = ProtocolRegistry::global().at(spec.protocol);
-  ScenarioResult result = run_scenario_with(resolved_spec(spec), entry.mode, entry.factory);
-  result.protocol = spec.protocol;
-  return result;
-}
-
 ScenarioSpec resolved_spec(const ScenarioSpec& spec) {
   const ProtocolRegistry::Entry* entry = ProtocolRegistry::global().find(spec.protocol);
   if (entry == nullptr || !entry->prepare) return spec;
@@ -318,8 +311,11 @@ std::uint32_t broadcast_fanin(const ScenarioSpec& spec) {
   return 0;
 }
 
-ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
-                                 const ProcessFactory& factory) {
+ScenarioResult run_scenario(const ScenarioSpec& requested) {
+  const ProtocolRegistry::Entry& entry = ProtocolRegistry::global().at(requested.protocol);
+  const EngineMode mode = entry.mode;
+  const ProcessFactory& factory = entry.factory;
+  const ScenarioSpec spec = resolved_spec(requested);
   const SyncConfig& cfg = spec.cfg;
   const bool sync_mode = mode == EngineMode::kSyncProtocol;
 
@@ -327,11 +323,8 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
   result.protocol = spec.protocol;
 
   validate_spec_structure(spec, mode);
-  // Always installed, including the (default) complete graph: the complete
-  // fast paths in the simulator are pinned bit-identical to the legacy
-  // topology-free engine by the golden trace suite. The schedule is only
-  // installed when the spec has topology events, so a static spec arms no
-  // epoch machinery at all.
+  // The schedule is only installed when the spec has topology events, so a
+  // static spec arms no epoch machinery at all.
   const CheckedTopology topology = checked_topology(spec);
   result.topology_epochs = topology.schedule ? topology.schedule->epoch_count() : 1;
   if (sync_mode) result.bounds = theory::derive_bounds(cfg);

@@ -62,9 +62,7 @@ struct TopologyEventSpec {
   TopologyKind set = TopologyKind::kRing;  ///< generator (set-graph only)
 };
 
-/// Everything needed to run one experiment cell. Supersedes the legacy
-/// RunSpec (core/runner.h) and BaselineSpec (baselines/baseline.h), both of
-/// which are now thin shims over this type.
+/// Everything needed to run one experiment cell.
 struct ScenarioSpec {
   /// Protocol name resolved via the ProtocolRegistry: "auth", "echo",
   /// "lundelius_welch", "interactive_convergence", "gradient", "hssd",
@@ -168,9 +166,9 @@ struct ScenarioSpec {
   std::uint32_t sim_threads = 1;
 };
 
-/// Superset of the legacy RunResult / BaselineResult. Fields that only make
-/// sense for kSyncProtocol scenarios (bounds, pulses, liveness, joiners)
-/// keep their zero defaults for baselines.
+/// Every metric of one run. Fields that only make sense for kSyncProtocol
+/// scenarios (bounds, pulses, liveness, joiners) keep their zero defaults
+/// for baselines.
 struct ScenarioResult {
   std::string protocol;
 
@@ -259,7 +257,7 @@ using ProcessFactory =
 /// factories may call it per node.
 [[nodiscard]] std::uint32_t broadcast_fanin(const ScenarioSpec& spec);
 
-/// Everything run_scenario_with would reject, checked WITHOUT running the
+/// Everything run_scenario would reject, checked WITHOUT running the
 /// scenario: model requirements (SyncConfig::validate) plus the engine's
 /// structural constraints (joiner / churn / partition / corruption counts).
 /// Throws std::logic_error naming the violated requirement. The scenario-file
@@ -272,11 +270,5 @@ void validate_spec(const ScenarioSpec& spec, EngineMode mode);
 /// f >= 1). Unknown protocols come back unchanged. The sinks record this,
 /// so dumps reflect the run, not the request.
 [[nodiscard]] ScenarioSpec resolved_spec(const ScenarioSpec& spec);
-
-/// The engine itself: runs the scenario with an explicit mode and process
-/// factory, bypassing the registry. This is what the legacy
-/// `baselines::run_baseline(spec, factory)` shim calls.
-[[nodiscard]] ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
-                                               const ProcessFactory& factory);
 
 }  // namespace stclock::experiment

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "crypto/signature.h"
-#include "util/arena.h"
 #include "util/bytes.h"
 #include "util/types.h"
 
@@ -17,10 +16,9 @@
 /// signatures are *relayed* and must remain verifiable end-to-end.
 namespace stclock {
 
-/// Signature bundle storage: arena-backed, because bundles are the dominant
-/// hot-path allocation — every authenticated broadcast copies one into the
+/// Signature bundle: every authenticated broadcast copies one into the
 /// interned Message, and every relay carries Theta(n) signatures.
-using SigBundle = std::vector<crypto::Signature, util::ArenaAllocator<crypto::Signature>>;
+using SigBundle = std::vector<crypto::Signature>;
 
 /// Authenticated algorithm: "(round k)" with 1..n distinct signatures over
 /// the canonical round payload. A fresh broadcast carries just the sender's

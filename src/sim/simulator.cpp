@@ -4,19 +4,11 @@
 #include <cmath>
 
 #include "sim/broadcast_sample.h"
-#include "util/arena.h"
 #include "util/contracts.h"
 
 namespace stclock {
 
 namespace {
-
-/// One interned, immutable Message per fan-out — allocated from the
-/// thread-local arena, like the signature bundle it carries, so a broadcast
-/// round costs zero general-purpose allocations once the free lists warm up.
-std::shared_ptr<const Message> intern_message(const Message& m) {
-  return std::allocate_shared<const Message>(util::ArenaAllocator<Message>{}, m);
-}
 
 /// Worker-thread marker for the parallel engine: while a worker executes a
 /// window, `now()` on that thread reports the executing event's time, so
@@ -46,10 +38,11 @@ Simulator::Simulator(SimParams params, std::vector<HardwareClock> clocks,
   ST_REQUIRE(clocks.size() == params_.n, "Simulator: clock count must equal n");
   ST_REQUIRE(params_.tdel > 0, "Simulator: tdel must be positive");
   ST_REQUIRE(delays_ != nullptr, "Simulator: delay policy required");
-  if (params_.topology != nullptr) {
-    ST_REQUIRE(params_.topology->n() == params_.n, "Simulator: topology size must equal n");
-    delays_->on_topology(*params_.topology);
+  if (params_.topology == nullptr) {
+    params_.topology = std::make_shared<const Topology>(Topology::complete(params_.n));
   }
+  ST_REQUIRE(params_.topology->n() == params_.n, "Simulator: topology size must equal n");
+  delays_->on_topology(*params_.topology);
   topo_now_ = params_.topology.get();
   if (params_.schedule != nullptr) {
     ST_REQUIRE(params_.schedule->epoch_graph(0).get() == params_.topology.get(),
@@ -99,7 +92,7 @@ Simulator::Simulator(SimParams params, std::vector<HardwareClock> clocks,
   std::size_t reserve = params_.queue_reserve;
   if (reserve == 0) {
     const auto n = static_cast<std::size_t>(params_.n);
-    if (params_.topology == nullptr || params_.topology->is_complete()) {
+    if (params_.topology->is_complete()) {
       reserve = n * (n + 2);
     } else {
       reserve = 2 * params_.topology->edge_count() + 4 * n;
@@ -384,13 +377,12 @@ void Simulator::honest_send(NodeId from, NodeId to, const Message& m) {
   // is lost like partitioned traffic. Broadcast traffic never needs the
   // check — its fan-out loop only visits neighbors — which keeps the
   // per-recipient hot path below free of it.
-  const Topology* topo = topo_now_;
-  if (to != from && topo != nullptr && !topo->adjacent(from, to)) {
+  if (to != from && !topo_now_->adjacent(from, to)) {
     counters_.on_send(message_kind(m), message_size_bytes(m));
     ++messages_dropped_;
     return;
   }
-  honest_send(from, to, intern_message(m));
+  honest_send(from, to, std::make_shared<const Message>(m));
 }
 
 void Simulator::honest_send(NodeId from, NodeId to, std::shared_ptr<const Message> msg) {
@@ -419,8 +411,7 @@ void Simulator::adversary_send(NodeId from, NodeId to, std::shared_ptr<const Mes
   ST_REQUIRE(deliver_at >= now_, "adversary_send: cannot deliver in the past");
   ST_REQUIRE(to < params_.n, "adversary_send: recipient out of range");
   counters_.on_send(message_kind(*msg), message_size_bytes(*msg));
-  const Topology* topo = topo_now_;
-  if (to != from && topo != nullptr && !topo->adjacent(from, to)) {
+  if (to != from && !topo_now_->adjacent(from, to)) {
     // Even an omniscient adversary is bound by the graph: a corrupted node
     // can only inject traffic on links it actually has.
     ++messages_dropped_;
@@ -540,13 +531,13 @@ void Context::broadcast(const Message& m) {
   }
   // Intern the payload once for the whole fan-out: n refcount bumps instead
   // of n deep copies (a RoundMsg relay bundle carries Theta(n) signatures).
-  const auto msg = intern_message(m);
+  const auto msg = std::make_shared<const Message>(m);
   if (sim_->params_.broadcast_mode == BroadcastMode::kSampled) {
     sim_->sampled_fan_out(id_, msg);
     return;
   }
   const Topology* topo = sim_->topo_now_;
-  if (topo == nullptr || topo->is_complete()) {
+  if (topo->is_complete()) {
     for (NodeId to = 0; to < sim_->params_.n; ++to) sim_->honest_send(id_, to, msg);
     return;
   }
@@ -581,7 +572,7 @@ bool Simulator::sample_broadcast_targets(NodeId from) {
   const std::uint32_t m = params_.sample_size;
   const NodeId* domain = nullptr;  // null = implicit all-but-self (complete)
   std::uint32_t domain_size = 0;
-  if (topo == nullptr || topo->is_complete()) {
+  if (topo->is_complete()) {
     domain_size = params_.n - 1;
   } else {
     const auto [nbrs, degree] = topo->neighbor_span(from);
@@ -635,7 +626,7 @@ __attribute__((noinline)) void Simulator::sampled_fan_out(
   if (!sample_broadcast_targets(from)) {
     // Domain no larger than the sample: identical to the full fan-out.
     const Topology* topo = topo_now_;
-    if (topo == nullptr || topo->is_complete()) {
+    if (topo->is_complete()) {
       for (NodeId to = 0; to < params_.n; ++to) honest_send(from, to, msg);
     } else {
       sparse_fan_out(from, *topo, msg);
@@ -699,11 +690,11 @@ const Simulator& AdversaryContext::observe() const { return *sim_; }
 
 void AdversaryContext::send_from(NodeId from, NodeId to, const Message& m,
                                  RealTime deliver_at) {
-  sim_->adversary_send(from, to, intern_message(m), deliver_at);
+  sim_->adversary_send(from, to, std::make_shared<const Message>(m), deliver_at);
 }
 
 void AdversaryContext::send_from_to_all(NodeId from, const Message& m, RealTime deliver_at) {
-  const auto msg = intern_message(m);
+  const auto msg = std::make_shared<const Message>(m);
   if (sim_->params_.broadcast_mode == BroadcastMode::kSampled &&
       sim_->sample_broadcast_targets(from)) {
     // The adversary's flood samples from the same stream and domain as an
@@ -715,7 +706,7 @@ void AdversaryContext::send_from_to_all(NodeId from, const Message& m, RealTime 
     return;
   }
   const Topology* topo = sim_->topo_now_;
-  if (topo == nullptr || topo->is_complete()) {
+  if (topo->is_complete()) {
     for (NodeId to = 0; to < sim_->params_.n; ++to) {
       if (!sim_->is_corrupt(to)) sim_->adversary_send(from, to, msg, deliver_at);
     }

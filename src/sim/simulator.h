@@ -40,10 +40,9 @@ struct SimParams {
   /// resident at once. Zero derives the default from n — one full broadcast
   /// round of deliveries plus per-node timers, n * (n + 2).
   std::size_t queue_reserve = 0;
-  /// Network graph. Null means the paper's implicit complete graph (the
-  /// legacy behavior, bit-for-bit); an explicit complete topology takes the
-  /// same code path. Any other graph restricts broadcasts to neighbors and
-  /// drops sends on missing links.
+  /// Network graph. Null makes the constructor install Topology::complete(n),
+  /// the paper's fully connected system. Any other graph restricts
+  /// broadcasts to neighbors and drops sends on missing links.
   std::shared_ptr<const Topology> topology;
   /// Timed topology changes (compile a TopologySchedule against `topology`).
   /// Null — or a single-epoch compilation of an empty schedule — keeps the
@@ -162,14 +161,13 @@ class Simulator {
   /// it to assert the parallel engine actually engaged.
   [[nodiscard]] std::uint64_t parallel_windows() const { return parallel_windows_; }
 
-  /// The base (epoch-0) network graph, or null for the implicit complete
-  /// graph.
+  /// The base (epoch-0) network graph; never null.
   [[nodiscard]] const Topology* topology() const { return params_.topology.get(); }
 
   /// The graph live right now: the base graph until the first epoch switch,
-  /// then the current epoch's snapshot. Null for the implicit complete
-  /// graph. The skew tracker samples local skew against this, so the metric
-  /// always reflects the adjacency that was live at measurement time.
+  /// then the current epoch's snapshot; never null. The skew tracker samples
+  /// local skew against this, so the metric always reflects the adjacency
+  /// that was live at measurement time.
   [[nodiscard]] const Topology* current_topology() const { return topo_now_; }
 
   /// Index of the live epoch (0 until the first switch; static runs stay 0).

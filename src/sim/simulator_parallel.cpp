@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/simulator.h"
-#include "util/arena.h"
 #include "util/contracts.h"
 
 /// The lookahead-windowed parallel engine (SimParams::sim_threads > 1).
@@ -54,12 +53,6 @@ namespace stclock {
 namespace {
 
 constexpr std::uint32_t kNoIndex = 0xffffffffu;
-
-/// Same interning as the sequential hot path; the arena is thread-local and
-/// its free path is cross-thread safe, so workers intern directly.
-std::shared_ptr<const Message> par_intern(const Message& m) {
-  return std::allocate_shared<const Message>(util::ArenaAllocator<Message>{}, m);
-}
 
 /// Which worker slot the current thread is executing (valid only while
 /// in_worker() holds for the owning simulator).
@@ -517,13 +510,12 @@ struct Simulator::ParEngine {
   }
 
   void worker_unicast(NodeId from, NodeId to, const Message& m) {
-    const Topology* topo = sim->topo_now_;
-    if (to != from && topo != nullptr && !topo->adjacent(from, to)) {
+    if (to != from && !sim->topo_now_->adjacent(from, to)) {
       cur().ops.push_back(
-          Op{OpKind::kSendDropNoLink, to, kNoIndex, 0, 0, par_intern(m)});
+          Op{OpKind::kSendDropNoLink, to, kNoIndex, 0, 0, std::make_shared<const Message>(m)});
       return;
     }
-    auto msg = par_intern(m);
+    auto msg = std::make_shared<const Message>(m);
     if (to == from) {
       op_send_self(from, std::move(msg));
     } else {
@@ -532,7 +524,7 @@ struct Simulator::ParEngine {
   }
 
   void worker_broadcast(NodeId from, const Message& m) {
-    auto msg = par_intern(m);
+    auto msg = std::make_shared<const Message>(m);
     if (sim->params_.broadcast_mode == BroadcastMode::kSampled) {
       // Peer draws come from the shared bcast stream, so the whole fan-out
       // defers to commit; only the self-delivery (always part of a sampled
@@ -545,7 +537,7 @@ struct Simulator::ParEngine {
       return;
     }
     const Topology* topo = sim->topo_now_;
-    if (topo == nullptr || topo->is_complete()) {
+    if (topo->is_complete()) {
       for (NodeId to = 0; to < sim->params_.n; ++to) {
         if (to == from) {
           op_send_self(from, msg);
@@ -719,7 +711,7 @@ struct Simulator::ParEngine {
     // Domain no larger than the sample: the full fan-out, no draws — same
     // fallback the sequential sampled_fan_out takes.
     const Topology* topo = S.topo_now_;
-    if (topo == nullptr || topo->is_complete()) {
+    if (topo->is_complete()) {
       for (NodeId to = 0; to < S.params_.n; ++to) {
         if (to == from) {
           self_commit();

@@ -58,31 +58,14 @@ void Topology::finalize() {
     ST_REQUIRE(std::adjacent_find(row_begin, row_end) == row_end,
                "Topology: duplicate edge");
   }
-  if (n_ > kBitsetMaxN) return;  // adjacent() binary-searches the CSR row
-  const std::size_t cells = static_cast<std::size_t>(n_) * n_;
-  bits_.assign((cells + 63) / 64, 0);
-  for (NodeId a = 0; a < n_; ++a) {
-    for (std::uint64_t i = offsets_[a]; i < offsets_[a + 1]; ++i) {
-      const std::size_t bit = static_cast<std::size_t>(a) * n_ + nbrs_[i];
-      bits_[bit / 64] |= std::uint64_t{1} << (bit % 64);
-    }
-  }
-}
-
-bool Topology::csr_adjacent(NodeId a, NodeId b) const {
-  const NodeId* begin = nbrs_.data() + offsets_[a];
-  const NodeId* end = nbrs_.data() + offsets_[static_cast<std::size_t>(a) + 1];
-  return std::binary_search(begin, end, b);
 }
 
 bool Topology::adjacent(NodeId a, NodeId b) const {
   ST_REQUIRE(a < n_ && b < n_, "Topology::adjacent: node id out of range");
   if (kind_ == TopologyKind::kComplete) return a != b;
-  if (!bits_.empty()) {
-    const std::size_t bit = static_cast<std::size_t>(a) * n_ + b;
-    return (bits_[bit / 64] >> (bit % 64)) & 1;
-  }
-  return csr_adjacent(a, b);
+  const NodeId* begin = nbrs_.data() + offsets_[a];
+  const NodeId* end = nbrs_.data() + offsets_[static_cast<std::size_t>(a) + 1];
+  return std::binary_search(begin, end, b);
 }
 
 NeighborRange Topology::neighbors(NodeId id) const {
@@ -207,7 +190,6 @@ double Topology::normalized_lambda2(std::uint32_t iters, std::uint64_t seed) con
 
 std::size_t Topology::memory_bytes() const {
   return offsets_.capacity() * sizeof(std::uint64_t) + nbrs_.capacity() * sizeof(NodeId) +
-         bits_.capacity() * sizeof(std::uint64_t) +
          staged_.capacity() * sizeof(std::pair<NodeId, NodeId>);
 }
 

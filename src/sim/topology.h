@@ -8,27 +8,27 @@
 
 /// Network topology: which pairs of nodes share a link.
 ///
-/// The paper's model is an implicit complete graph — every process hears
-/// every broadcast directly. The most-cited follow-on work (gradient clock
-/// synchronization on dynamic networks, ad hoc timepiece networks) studies
-/// synchronization on *general* graphs, where a broadcast reaches only the
-/// sender's neighbors and the figure of merit becomes the *local* skew
-/// between adjacent nodes. A `Topology` makes the graph first-class: the
-/// simulator fans broadcasts out over neighbors, delay policies may key on
-/// links, and the trace layer measures skew over adjacent pairs.
+/// The paper's model is one fully connected system — every process hears
+/// every broadcast directly — and `Topology::complete(n)` is that graph. The
+/// simulator always runs on a `Topology`: when SimParams leaves it null, the
+/// constructor installs complete(n). The most-cited follow-on work (gradient
+/// clock synchronization on dynamic networks, ad hoc timepiece networks)
+/// studies synchronization on *general* graphs, where a broadcast reaches
+/// only the sender's neighbors and the figure of merit becomes the *local*
+/// skew between adjacent nodes. So the simulator fans broadcasts out over
+/// neighbors, delay policies may key on links, and the trace layer measures
+/// skew over adjacent pairs.
 ///
 /// Graphs are undirected and simple (no self-loops, no parallel edges);
 /// neighbor iteration is sorted ascending, so the event-queue insertion
 /// order that breaks delivery ties is deterministic.
 ///
-/// Storage is sparse-first (CSR): one offsets array (n + 1 entries) plus one
-/// flat sorted-neighbor array (2E entries), ~8 bytes per node plus 4 bytes
-/// per directed edge. A ring at n = 10^6 costs ~16 MB where the old per-pair
-/// bitset alone needed ~125 GB. `adjacent()` answers from a row-major bitset
-/// only while n <= kBitsetMaxN (at most 512 KB); past that it binary-searches
+/// Storage is CSR: one offsets array (n + 1 entries) plus one flat
+/// sorted-neighbor array (2E entries), ~8 bytes per node plus 4 bytes per
+/// directed edge, and nothing quadratic in n. `adjacent()` binary-searches
 /// the CSR row. The complete family stores NO adjacency at all — neighbors
-/// are implicit (every id but self) and the message hot path keeps the
-/// legacy all-pairs fan-out loop.
+/// are implicit (every id but self), `adjacent()` is a kind check, and the
+/// message hot path keeps the all-pairs fan-out loop.
 namespace stclock {
 
 class Rng;
@@ -112,11 +112,6 @@ class NeighborRange {
 
 class Topology {
  public:
-  /// Largest n for which adjacent() keeps the O(1) row-major bitset
-  /// (n^2 / 8 bytes, so at most 512 KB). Above it, adjacency binary-searches
-  /// the sorted CSR row — O(log degree), and no quadratic storage anywhere.
-  static constexpr std::uint32_t kBitsetMaxN = 2048;
-
   /// Smallest n at which gnp() switches from the legacy per-pair bernoulli
   /// walk to geometric skipping. Below it (every golden spec lives there)
   /// the seed -> graph mapping is bit-identical to the original generator;
@@ -186,8 +181,8 @@ class Topology {
   /// lookups entirely and keep the legacy broadcast loop.
   [[nodiscard]] bool is_complete() const { return kind_ == TopologyKind::kComplete; }
 
-  /// O(1) while n <= kBitsetMaxN or complete, O(log degree) past that.
-  /// False for a == b (no self-loops).
+  /// O(1) for complete, O(log degree) otherwise. False for a == b (no
+  /// self-loops).
   [[nodiscard]] bool adjacent(NodeId a, NodeId b) const;
 
   /// Sorted ascending. Valid for every kind; for complete the range is
@@ -223,7 +218,7 @@ class Topology {
   /// normalized spectrum is known: -1/(n-1) repeated).
   [[nodiscard]] double normalized_lambda2(std::uint32_t iters, std::uint64_t seed) const;
 
-  /// Bytes of adjacency storage actually held (CSR arrays + bitset). The
+  /// Bytes of adjacency storage actually held (the CSR arrays). The
   /// memory-ceiling tests assert on this instead of process RSS, which is
   /// noisy under a test runner.
   [[nodiscard]] std::size_t memory_bytes() const;
@@ -234,10 +229,8 @@ class Topology {
   /// Stages an undirected edge; storage is built by finalize().
   void add_edge(NodeId a, NodeId b);
   /// Counting-sorts the staged edges into CSR rows (each sorted ascending,
-  /// duplicates rejected) and builds the small-n adjacency bitset.
+  /// duplicates rejected).
   void finalize();
-
-  [[nodiscard]] bool csr_adjacent(NodeId a, NodeId b) const;
 
   TopologyKind kind_ = TopologyKind::kComplete;
   std::uint32_t n_ = 0;
@@ -248,9 +241,6 @@ class Topology {
   /// complete (implicit neighbors).
   std::vector<std::uint64_t> offsets_;
   std::vector<NodeId> nbrs_;
-  /// Row-major n x n bitset for O(1) adjacent(); only while n <= kBitsetMaxN
-  /// and never for complete.
-  std::vector<std::uint64_t> bits_;
 };
 
 }  // namespace stclock

@@ -26,7 +26,7 @@ void SkewTracker::sample(const Simulator& sim) {
   // readings when the graph is sparse; on a complete topology every pair is
   // adjacent, so the local skew IS the spread and the O(E) pass is skipped.
   const Topology* topology = sim.current_topology();
-  const bool sparse = topology != nullptr && !topology->is_complete();
+  const bool sparse = !topology->is_complete();
   const std::uint64_t prev_gen = cur_gen_;
   if (sparse) {
     pool_n_ = std::min(sim.n(), kLocalSkewPoolMaxN);

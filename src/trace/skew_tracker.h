@@ -22,8 +22,8 @@
 /// merit of gradient clock synchronization (Kuhn/Lenzen/Locher/Oshman). The
 /// adjacency is read from the simulator's CURRENT graph at every sample, so
 /// on a dynamic topology the metric always reflects the links that were
-/// live at measurement time. On the complete topology (or with no topology)
-/// local skew equals the global spread, at no extra cost.
+/// live at measurement time. On the complete topology local skew equals the
+/// global spread, at no extra cost.
 ///
 /// The sparse pass is built to survive n = 10^6: per-node scratch is marked
 /// with a generation counter (no O(n) re-zeroing per sample), and the O(E)

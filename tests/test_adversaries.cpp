@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/strategies.h"
-#include "core/runner.h"
+#include "sync_spec.h"
 
 namespace stclock {
 namespace {
@@ -26,7 +26,7 @@ TEST(Adversaries, FactoryReturnsNullForPassiveKinds) {
   EXPECT_NE(make_attack(AttackKind::kForge, params), nullptr);
 }
 
-RunSpec attack_spec(AttackKind attack) {
+experiment::ScenarioSpec attack_spec(AttackKind attack) {
   SyncConfig cfg;
   cfg.n = 5;
   cfg.f = 2;
@@ -35,8 +35,7 @@ RunSpec attack_spec(AttackKind attack) {
   cfg.period = 1.0;
   cfg.initial_sync = 0.005;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 11;
   spec.horizon = 15.0;
   spec.drift = DriftKind::kExtremal;
@@ -49,7 +48,7 @@ TEST(Adversaries, EveryAttackLeavesProtocolCorrect) {
   for (AttackKind attack : {AttackKind::kCrash, AttackKind::kSpamEarly,
                             AttackKind::kEquivocate, AttackKind::kReplay,
                             AttackKind::kForge}) {
-    const RunResult r = run_sync(attack_spec(attack));
+    const experiment::ScenarioResult r = run_scenario(attack_spec(attack));
     EXPECT_TRUE(r.live) << attack_name(attack);
     EXPECT_LE(r.steady_skew, r.bounds.precision) << attack_name(attack);
     EXPECT_LE(r.pulse_spread, r.bounds.pulse_spread + 1e-9) << attack_name(attack);
@@ -59,27 +58,27 @@ TEST(Adversaries, EveryAttackLeavesProtocolCorrect) {
 TEST(Adversaries, SpamEarlyActuallyAccelerates) {
   // The attack should shorten periods relative to the max-delay benign run —
   // it is a real attack, just one the bounds absorb.
-  RunSpec benign = attack_spec(AttackKind::kCrash);
+  experiment::ScenarioSpec benign = attack_spec(AttackKind::kCrash);
   benign.delay = DelayKind::kMax;
-  RunSpec spam = attack_spec(AttackKind::kSpamEarly);
+  experiment::ScenarioSpec spam = attack_spec(AttackKind::kSpamEarly);
   spam.delay = DelayKind::kMax;
 
-  const RunResult rb = run_sync(benign);
-  const RunResult rs = run_sync(spam);
+  const experiment::ScenarioResult rb = run_scenario(benign);
+  const experiment::ScenarioResult rs = run_scenario(spam);
   EXPECT_LT(rs.min_period, rb.min_period);
 }
 
 TEST(Adversaries, ForgeNeverBreaksUnforgeabilityFloor) {
-  RunSpec spec = attack_spec(AttackKind::kForge);
+  experiment::ScenarioSpec spec = attack_spec(AttackKind::kForge);
   spec.delay = DelayKind::kZero;
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   // If a forged bundle were ever accepted, a pulse would fire without any
   // honest node being ready, collapsing the minimum period.
   EXPECT_GE(r.min_period, r.bounds.min_period - 1e-9);
 }
 
 TEST(Adversaries, EquivocationCannotSplitPulses) {
-  const RunResult r = run_sync(attack_spec(AttackKind::kEquivocate));
+  const experiment::ScenarioResult r = run_scenario(attack_spec(AttackKind::kEquivocate));
   // Relay property: even with targeted half-system messages, acceptance
   // times stay within the primitive's spread.
   EXPECT_LE(r.pulse_spread, r.bounds.pulse_spread + 1e-9);
@@ -88,7 +87,7 @@ TEST(Adversaries, EquivocationCannotSplitPulses) {
 TEST(Adversaries, MessageCostOfAttacksIsBounded) {
   // Attacks inflate traffic but must not break the simulation budget; the
   // run completes and counts messages sanely.
-  const RunResult r = run_sync(attack_spec(AttackKind::kSpamEarly));
+  const experiment::ScenarioResult r = run_scenario(attack_spec(AttackKind::kSpamEarly));
   EXPECT_GT(r.messages_sent, 0u);
   EXPECT_GT(r.bytes_sent, r.messages_sent);  // every message has > 1 byte
 }

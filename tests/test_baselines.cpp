@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "baselines/interactive_convergence.h"
-#include "baselines/leader_sync.h"
 #include "baselines/lundelius_welch.h"
-#include "baselines/unsynchronized.h"
 #include "experiment/scenario.h"
 
 namespace stclock::baselines {
@@ -129,30 +126,6 @@ TEST(Baselines, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(run_scenario(spec).max_skew, run_scenario(spec).max_skew);
   EXPECT_DOUBLE_EQ(run_scenario(base_spec("lundelius_welch")).max_skew,
                    run_scenario(base_spec("lundelius_welch")).max_skew);
-}
-
-TEST(Baselines, LegacyShimsReproduceEngineMetrics) {
-  // The legacy BaselineSpec entry points are shims over the same engine:
-  // identical seeds must give identical metrics.
-  BaselineSpec legacy;
-  legacy.n = 7;
-  legacy.f = 2;
-  legacy.rho = 1e-3;
-  legacy.tdel = 0.01;
-  legacy.period = 1.0;
-  legacy.delta = 0.05;
-  legacy.initial_sync = 0.005;
-  legacy.seed = 5;
-  legacy.horizon = 30.0;
-  legacy.drift = DriftKind::kExtremal;
-  legacy.delay = DelayKind::kHalf;
-
-  EXPECT_EQ(run_unsynchronized(legacy).max_skew,
-            run_scenario(base_spec("unsynchronized")).max_skew);
-  EXPECT_EQ(run_interactive_convergence(legacy).max_skew,
-            run_scenario(base_spec("interactive_convergence")).max_skew);
-  EXPECT_EQ(run_leader_sync(legacy, /*corrupt_leader=*/true).envelope.max_rate,
-            run_scenario(base_spec("leader_corrupt")).envelope.max_rate);
 }
 
 }  // namespace

@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/lundelius_welch.h"
-#include "core/runner.h"
 #include "experiment/registry.h"
 #include "experiment/sinks.h"
 #include "experiment/sweep.h"
@@ -80,57 +78,6 @@ TEST(Registry, SyncEntriesDeriveBoundsAndPulse) {
     EXPECT_GE(r.min_pulses, 2u);
     EXPECT_TRUE(r.live);
   }
-}
-
-TEST(ShimEquivalence, RunSyncMatchesScenarioEngine) {
-  RunSpec legacy;
-  legacy.cfg.n = 7;
-  legacy.cfg.f = 3;
-  legacy.cfg.variant = Variant::kAuthenticated;
-  legacy.seed = 11;
-  legacy.horizon = 12.0;
-  legacy.drift = DriftKind::kRandomWalk;
-  legacy.delay = DelayKind::kSplit;
-  legacy.attack = AttackKind::kSpamEarly;
-  const RunResult via_shim = run_sync(legacy);
-
-  ScenarioSpec scenario;
-  scenario.protocol = "auth";
-  scenario.cfg = legacy.cfg;
-  scenario.seed = legacy.seed;
-  scenario.horizon = legacy.horizon;
-  scenario.drift = legacy.drift;
-  scenario.delay = legacy.delay;
-  scenario.attack = legacy.attack;
-  const ScenarioResult direct = run_scenario(scenario);
-
-  EXPECT_EQ(via_shim.max_skew, direct.max_skew);
-  EXPECT_EQ(via_shim.steady_skew, direct.steady_skew);
-  EXPECT_EQ(via_shim.pulse_spread, direct.pulse_spread);
-  EXPECT_EQ(via_shim.messages_sent, direct.messages_sent);
-  EXPECT_EQ(via_shim.bytes_sent, direct.bytes_sent);
-  EXPECT_EQ(via_shim.rounds_completed, direct.rounds_completed);
-  EXPECT_EQ(via_shim.skew_series.size(), direct.skew_series.size());
-}
-
-TEST(ShimEquivalence, RunBaselineMatchesScenarioEngine) {
-  baselines::BaselineSpec legacy;
-  legacy.n = 7;
-  legacy.f = 2;
-  legacy.rho = 1e-3;
-  legacy.seed = 5;
-  legacy.horizon = 10.0;
-  legacy.drift = DriftKind::kExtremal;
-  legacy.delay = DelayKind::kHalf;
-  legacy.attack = AttackKind::kLwPull;
-  const baselines::BaselineResult via_shim = baselines::run_lundelius_welch(legacy);
-
-  const ScenarioResult direct =
-      run_scenario(baselines::to_scenario(legacy, "lundelius_welch"));
-  EXPECT_EQ(via_shim.max_skew, direct.max_skew);
-  EXPECT_EQ(via_shim.steady_skew, direct.steady_skew);
-  EXPECT_EQ(via_shim.messages_sent, direct.messages_sent);
-  EXPECT_EQ(via_shim.bytes_sent, direct.bytes_sent);
 }
 
 TEST(SweepGrid, RowMajorProductWithLabels) {

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/hssd_sync.h"
-#include "core/runner.h"
+#include "sync_spec.h"
 
 namespace stclock {
 namespace {
@@ -10,15 +10,16 @@ namespace {
 // HSSD-style single-signature synchronization (the authenticated competitor).
 // ---------------------------------------------------------------------------
 
-baselines::BaselineSpec hssd_spec() {
-  baselines::BaselineSpec spec;
-  spec.n = 7;
-  spec.f = 3;
-  spec.rho = 1e-4;
-  spec.tdel = 0.01;
-  spec.period = 1.0;
+experiment::ScenarioSpec hssd_spec() {
+  experiment::ScenarioSpec spec;
+  spec.protocol = "hssd";
+  spec.cfg.n = 7;
+  spec.cfg.f = 3;
+  spec.cfg.rho = 1e-4;
+  spec.cfg.tdel = 0.01;
+  spec.cfg.period = 1.0;
   spec.delta = 0.05;  // HSSD plausibility window
-  spec.initial_sync = 0.005;
+  spec.cfg.initial_sync = 0.005;
   spec.seed = 5;
   spec.horizon = 40.0;
   spec.drift = DriftKind::kExtremal;
@@ -27,16 +28,16 @@ baselines::BaselineSpec hssd_spec() {
 }
 
 TEST(Hssd, ConvergesUnderBenignConditions) {
-  const auto r = baselines::run_hssd(hssd_spec());
+  const auto r = run_scenario(hssd_spec());
   // First-signature acceptance keeps everyone within ~one delay + drift.
-  EXPECT_LE(r.steady_skew, 3 * hssd_spec().tdel + 0.01);
+  EXPECT_LE(r.steady_skew, 3 * hssd_spec().cfg.tdel + 0.01);
 }
 
 TEST(Hssd, ToleratesCrashes) {
   auto spec = hssd_spec();
   spec.attack = AttackKind::kCrash;
-  const auto r = baselines::run_hssd(spec);
-  EXPECT_LE(r.steady_skew, 3 * spec.tdel + 0.01);
+  const auto r = run_scenario(spec);
+  EXPECT_LE(r.steady_skew, 3 * spec.cfg.tdel + 0.01);
 }
 
 TEST(Hssd, EarlyTriggerAmplifiesDrift) {
@@ -45,10 +46,10 @@ TEST(Hssd, EarlyTriggerAmplifiesDrift) {
   // advancing all correct clocks by ~window per period. Expected rate
   // excess ~ window / P, far beyond the hardware envelope.
   auto spec = hssd_spec();
-  spec.f = 1;  // a single corrupted node suffices
+  spec.cfg.f = 1;  // a single corrupted node suffices
   spec.attack = AttackKind::kHssdEarly;
-  const auto r = baselines::run_hssd(spec);
-  EXPECT_GT(r.envelope.max_rate, 1 + spec.rho + 0.3 * spec.delta / spec.period);
+  const auto r = run_scenario(spec);
+  EXPECT_GT(r.envelope.max_rate, 1 + spec.cfg.rho + 0.3 * spec.delta / spec.cfg.period);
   // Agreement survives (the relay drags everyone together)...
   EXPECT_LE(r.steady_skew, 3 * spec.delta);
 }
@@ -65,15 +66,14 @@ TEST(Hssd, SrikanthTouegResistsTheSameAttackPattern) {
   cfg.period = 1.0;
   cfg.initial_sync = 0.005;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 5;
   spec.horizon = 40.0;
   spec.drift = DriftKind::kExtremal;
   spec.delay = DelayKind::kHalf;
   spec.attack = AttackKind::kSpamEarly;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_LE(r.envelope.max_rate, r.bounds.rate_hi + r.rate_fit_tolerance);
 }
 
@@ -104,15 +104,14 @@ TEST(Initialization, ConvergesFromLargeInitialOffsets) {
   cfg.initial_sync = 0.5;  // huge: half a period
   cfg.allow_unsynchronized_start = true;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 4;
   spec.horizon = 25.0;
   spec.drift = DriftKind::kExtremal;
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kSpamEarly;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   // steady window starts after 2 * max_period: convergence is complete.
   EXPECT_LE(r.steady_skew, r.bounds.precision);
@@ -145,14 +144,13 @@ TEST(Initialization, FastStartersSkipRoundsInsteadOfStalling) {
   cfg.initial_sync = 2.5;  // some nodes start 2.5 periods ahead
   cfg.allow_unsynchronized_start = true;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 6;
   spec.horizon = 25.0;
   spec.drift = DriftKind::kRandomConstant;
   spec.delay = DelayKind::kUniform;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
 }
@@ -170,15 +168,14 @@ TEST(Sleeper, MidRunAttackStaysWithinBounds) {
   cfg.period = 1.0;
   cfg.initial_sync = 0.005;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 8;
   spec.horizon = 25.0;
   spec.drift = DriftKind::kExtremal;
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kSleeper;  // wakes at t = 10 by default
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
   EXPECT_LE(r.pulse_spread, r.bounds.pulse_spread + 1e-9);

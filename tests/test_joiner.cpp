@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "core/runner.h"
+#include "sync_spec.h"
 
 namespace stclock {
 namespace {
 
-RunSpec join_spec(Variant variant) {
+experiment::ScenarioSpec join_spec(Variant variant) {
   SyncConfig cfg;
   cfg.f = 1;
   cfg.n = variant == Variant::kAuthenticated ? 5 : 7;
@@ -15,8 +15,7 @@ RunSpec join_spec(Variant variant) {
   cfg.initial_sync = 0.005;
   cfg.variant = variant;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 3;
   spec.horizon = 25.0;
   spec.drift = DriftKind::kExtremal;
@@ -27,7 +26,7 @@ RunSpec join_spec(Variant variant) {
 }
 
 TEST(Joiner, IntegratesWithinOnePeriodAuth) {
-  const RunResult r = run_sync(join_spec(Variant::kAuthenticated));
+  const experiment::ScenarioResult r = run_scenario(join_spec(Variant::kAuthenticated));
   EXPECT_TRUE(r.live);
   EXPECT_TRUE(r.joiners_integrated);
   // The joiner adopts the first round accepted after boot; rounds recur at
@@ -37,7 +36,7 @@ TEST(Joiner, IntegratesWithinOnePeriodAuth) {
 }
 
 TEST(Joiner, IntegratesWithinOnePeriodEcho) {
-  const RunResult r = run_sync(join_spec(Variant::kEcho));
+  const experiment::ScenarioResult r = run_scenario(join_spec(Variant::kEcho));
   EXPECT_TRUE(r.live);
   EXPECT_TRUE(r.joiners_integrated);
   EXPECT_LE(r.join_latency, r.bounds.max_period + 1e-9);
@@ -47,32 +46,32 @@ TEST(Joiner, PostIntegrationSkewWithinBound) {
   // Once integrated, the joiner counts toward the skew metric; the run-wide
   // steady skew (which includes the joiner from its first pulse) must still
   // meet the precision bound.
-  const RunResult r = run_sync(join_spec(Variant::kAuthenticated));
+  const experiment::ScenarioResult r = run_scenario(join_spec(Variant::kAuthenticated));
   EXPECT_LE(r.steady_skew, r.bounds.precision);
 }
 
 TEST(Joiner, IntegrationWorksUnderByzantineInterference) {
-  RunSpec spec = join_spec(Variant::kAuthenticated);
+  experiment::ScenarioSpec spec = join_spec(Variant::kAuthenticated);
   spec.attack = AttackKind::kSpamEarly;
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.joiners_integrated);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
 }
 
 TEST(Joiner, MultipleJoinersIntegrate) {
-  RunSpec spec = join_spec(Variant::kAuthenticated);
+  experiment::ScenarioSpec spec = join_spec(Variant::kAuthenticated);
   spec.joiners = 2;  // leaves 2 regular honest nodes + f crashed... still > f+1 ready
   spec.attack = AttackKind::kNone;
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.joiners_integrated);
   EXPECT_TRUE(r.live);
 }
 
 TEST(Joiner, LateJoinDeepIntoRun) {
-  RunSpec spec = join_spec(Variant::kAuthenticated);
+  experiment::ScenarioSpec spec = join_spec(Variant::kAuthenticated);
   spec.horizon = 40.0;
   spec.join_time = 31.7;
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.joiners_integrated);
   EXPECT_LE(r.join_latency, r.bounds.max_period + 1e-9);
 }
@@ -80,11 +79,11 @@ TEST(Joiner, LateJoinDeepIntoRun) {
 TEST(Joiner, JoinerDoesNotDisruptRunningSystem) {
   // Compare pulse behaviour with and without a joiner: the running nodes'
   // bounds must hold in both cases.
-  RunSpec with = join_spec(Variant::kAuthenticated);
-  RunSpec without = with;
+  experiment::ScenarioSpec with = join_spec(Variant::kAuthenticated);
+  experiment::ScenarioSpec without = with;
   without.joiners = 0;
-  const RunResult a = run_sync(with);
-  const RunResult b = run_sync(without);
+  const experiment::ScenarioResult a = run_scenario(with);
+  const experiment::ScenarioResult b = run_scenario(without);
   EXPECT_TRUE(a.live);
   EXPECT_TRUE(b.live);
   EXPECT_LE(a.steady_skew, a.bounds.precision);

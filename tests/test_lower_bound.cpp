@@ -3,7 +3,7 @@
 #include <map>
 
 #include "core/joiner.h"
-#include "core/runner.h"
+#include "sync_spec.h"
 #include "sim/simulator.h"
 
 /// Executable sketches of the paper's optimality (lower bound) results.
@@ -99,14 +99,13 @@ TEST(LowerBound, SynchronizationIsNecessaryAtAll) {
   cfg.period = 1.0;
   cfg.initial_sync = 0.0;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 1;
   spec.horizon = 30.0;
   spec.drift = DriftKind::kExtremal;
   spec.delay = DelayKind::kHalf;
 
-  const RunResult synced = run_sync(spec);
+  const experiment::ScenarioResult synced = run_scenario(spec);
   const double gamma = (1 + cfg.rho) - 1 / (1 + cfg.rho);
   const double unsynced_skew = gamma * spec.horizon;  // exact for extremal drift
   EXPECT_LT(synced.steady_skew, unsynced_skew / 4)
@@ -125,15 +124,14 @@ TEST(LowerBound, SkewCannotBeZeroUnderDelayUncertainty) {
   cfg.period = 1.0;
   cfg.initial_sync = 0.005;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 2;
   spec.horizon = 15.0;
   spec.drift = DriftKind::kNone;
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kSpamEarly;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_GE(r.steady_skew, cfg.tdel / 2);
 }
 

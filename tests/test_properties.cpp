@@ -3,7 +3,7 @@
 #include <string>
 #include <tuple>
 
-#include "core/runner.h"
+#include "sync_spec.h"
 
 /// Property sweeps: the paper's theorems, checked across the parameter grid.
 /// Every combination must satisfy, simultaneously:
@@ -53,15 +53,14 @@ TEST_P(TheoremSweep, AllBoundsHold) {
   cfg.initial_sync = 0.005;
   cfg.variant = p.variant;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = p.seed;
   spec.horizon = 12.0;
   spec.drift = p.drift;
   spec.delay = p.delay;
   spec.attack = p.attack;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
   EXPECT_LE(r.pulse_spread, r.bounds.pulse_spread + 1e-9);
@@ -122,15 +121,14 @@ TEST_P(DriftMagnitudeSweep, PrecisionHoldsAndScales) {
   cfg.period = 1.0;
   cfg.initial_sync = 0.002;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 9;
   spec.horizon = 12.0;
   spec.drift = DriftKind::kExtremal;
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kCrash;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
 }
@@ -151,15 +149,14 @@ TEST_P(DelayMagnitudeSweep, PrecisionHolds) {
   cfg.period = 1.0;
   cfg.initial_sync = tdel / 2;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 13;
   spec.horizon = 12.0;
   spec.drift = DriftKind::kExtremal;
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kSpamEarly;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
   // Non-vacuous: the adversarial delay policy realizes a decent fraction of
@@ -184,15 +181,14 @@ TEST_P(AlphaSweep, CorrectForAnyReasonableAlpha) {
   cfg.initial_sync = 0.005;
   cfg.alpha = GetParam();
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 21;
   spec.horizon = 12.0;
   spec.drift = DriftKind::kExtremal;
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kSpamEarly;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
 }
@@ -223,8 +219,7 @@ TEST_P(JoinerSweep, IntegrationAlwaysSucceeds) {
   cfg.period = 1.0;
   cfg.initial_sync = 0.005;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 17;
   spec.horizon = 20.0;
   spec.drift = DriftKind::kExtremal;
@@ -233,7 +228,7 @@ TEST_P(JoinerSweep, IntegrationAlwaysSucceeds) {
   spec.joiners = 1;
   spec.join_time = p.join_time;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.joiners_integrated);
   EXPECT_LE(r.join_latency, r.bounds.max_period + 1e-9);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
@@ -268,15 +263,14 @@ TEST_P(AmortizedSweep, SmoothModeStaysCorrect) {
   cfg.adjust = AdjustMode::kAmortized;
   cfg.amortize_window = GetParam();
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 23;
   spec.horizon = 15.0;
   spec.drift = DriftKind::kExtremal;
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kSpamEarly;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_GT(r.envelope.min_rate, 0.5);  // clocks never stall or run backwards
   // Corrections lag by up to one window; allow that slack on top of Dmax.
@@ -298,15 +292,14 @@ TEST_P(SleeperSweep, MidRunWakeupIsHarmless) {
   cfg.period = 1.0;
   cfg.initial_sync = 0.005;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 29;
   spec.horizon = 18.0;
   spec.drift = DriftKind::kExtremal;
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kSleeper;  // wake time fixed at 10 s in AttackParams
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
   EXPECT_GE(r.min_period, r.bounds.min_period - 1e-9);
@@ -327,15 +320,14 @@ TEST_P(InitSpreadSweep, ConvergesFromAnySpread) {
   cfg.initial_sync = GetParam();
   cfg.allow_unsynchronized_start = true;
 
-  RunSpec spec;
-  spec.cfg = cfg;
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 31;
   spec.horizon = 20.0;
   spec.drift = DriftKind::kRandomConstant;
   spec.delay = DelayKind::kUniform;
   spec.attack = AttackKind::kSpamEarly;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
 }

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "core/runner.h"
 #include "experiment/scenario.h"
 
 namespace stclock {
@@ -95,13 +94,6 @@ TEST(Runner, RejectsInvalidSpecs) {
     spec.attack = AttackKind::kCrash;
     EXPECT_THROW((void)run_scenario(spec), std::logic_error);
   }
-  {
-    // The legacy shim forwards the same validation.
-    RunSpec spec;
-    spec.cfg = basic_spec(Variant::kAuthenticated).cfg;
-    spec.horizon = 0;
-    EXPECT_THROW((void)run_sync(spec), std::logic_error);
-  }
 }
 
 TEST(Runner, NameHelpersCoverAllKinds) {
@@ -111,20 +103,6 @@ TEST(Runner, NameHelpersCoverAllKinds) {
   EXPECT_STREQ(drift_name(DriftKind::kExtremal), "extremal");
   EXPECT_STREQ(delay_name(DelayKind::kZero), "zero");
   EXPECT_STREQ(delay_name(DelayKind::kAlternating), "alternating");
-}
-
-TEST(Runner, LegacyShimReproducesEngineMetrics) {
-  RunSpec legacy;
-  legacy.cfg = basic_spec(Variant::kAuthenticated).cfg;
-  legacy.seed = 1;
-  legacy.horizon = 15.0;
-  legacy.drift = DriftKind::kRandomWalk;
-  legacy.delay = DelayKind::kUniform;
-  const RunResult shim = run_sync(legacy);
-  const experiment::ScenarioResult direct = run_scenario(basic_spec(Variant::kAuthenticated));
-  EXPECT_EQ(shim.max_skew, direct.max_skew);
-  EXPECT_EQ(shim.messages_sent, direct.messages_sent);
-  EXPECT_EQ(shim.min_pulses, direct.min_pulses);
 }
 
 TEST(Runner, SleeperWakeupVisibleInSkewSeries) {

@@ -54,14 +54,20 @@ TEST(TopologyScale, CompleteStoresNoAdjacencyAtAll) {
   EXPECT_LT(topo.memory_bytes(), 1024u);
 }
 
-TEST(TopologyScale, SmallGraphsKeepTheBitsetFastPath) {
-  // Below the threshold adjacent() stays an O(1) bit probe; the bitset for
-  // n <= 2048 costs at most 512 KB and the golden graphs all live here.
-  const Topology topo = Topology::ring(2048);
-  EXPECT_TRUE(topo.adjacent(0, 1));
-  EXPECT_TRUE(topo.adjacent(0, 2047));
-  EXPECT_FALSE(topo.adjacent(0, 1024));
-  EXPECT_LT(topo.memory_bytes(), 1u << 20);
+TEST(TopologyScale, SmallGraphsStoreOnlyLinearAdjacency) {
+  // Small sparse graphs hold the same O(n + E) CSR rows as large ones; an
+  // n x n bitset at n = 2048 alone would be 512 KiB.
+  const Topology ring = Topology::ring(2048);
+  EXPECT_TRUE(ring.adjacent(0, 1));
+  EXPECT_TRUE(ring.adjacent(0, 2047));
+  EXPECT_FALSE(ring.adjacent(0, 1024));
+  EXPECT_LT(ring.memory_bytes(), 256u << 10);
+
+  const Topology expander = Topology::expander(2048, 16, 5);
+  for (NodeId a = 0; a < 2048; a += 97) {
+    for (const NodeId b : expander.neighbors(a)) EXPECT_TRUE(expander.adjacent(a, b));
+  }
+  EXPECT_LT(expander.memory_bytes(), 256u << 10);
 }
 
 TEST(TopologyScale, GnpFastPathIsAPureFunctionOfItsSeed) {

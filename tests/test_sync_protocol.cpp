@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/runner.h"
+#include "sync_spec.h"
 
 namespace stclock {
 namespace {
@@ -25,9 +25,8 @@ SyncConfig small_echo() {
   return cfg;
 }
 
-RunSpec spec_for(SyncConfig cfg) {
-  RunSpec spec;
-  spec.cfg = cfg;
+experiment::ScenarioSpec spec_for(const SyncConfig& cfg) {
+  experiment::ScenarioSpec spec = sync_spec(cfg);
   spec.seed = 7;
   spec.horizon = 20.0;
   spec.drift = DriftKind::kExtremal;
@@ -35,7 +34,7 @@ RunSpec spec_for(SyncConfig cfg) {
   return spec;
 }
 
-void expect_correct(const RunResult& r) {
+void expect_correct(const experiment::ScenarioResult& r) {
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision) << "precision bound violated";
   EXPECT_LE(r.pulse_spread, r.bounds.pulse_spread + 1e-9) << "relay bound violated";
@@ -46,73 +45,73 @@ void expect_correct(const RunResult& r) {
 }
 
 TEST(SyncProtocol, AuthFaultFreeMeetsAllBounds) {
-  const RunResult r = run_sync(spec_for(small_auth()));
+  const experiment::ScenarioResult r = run_scenario(spec_for(small_auth()));
   expect_correct(r);
   EXPECT_GE(r.min_pulses, 15u);  // ~1 pulse per second over 20s
 }
 
 TEST(SyncProtocol, EchoFaultFreeMeetsAllBounds) {
-  const RunResult r = run_sync(spec_for(small_echo()));
+  const experiment::ScenarioResult r = run_scenario(spec_for(small_echo()));
   expect_correct(r);
 }
 
 TEST(SyncProtocol, AuthToleratesCrashedNodes) {
-  RunSpec spec = spec_for(small_auth());
+  experiment::ScenarioSpec spec = spec_for(small_auth());
   spec.attack = AttackKind::kCrash;  // f = 2 of 5 silent
-  expect_correct(run_sync(spec));
+  expect_correct(run_scenario(spec));
 }
 
 TEST(SyncProtocol, EchoToleratesCrashedNodes) {
-  RunSpec spec = spec_for(small_echo());
+  experiment::ScenarioSpec spec = spec_for(small_echo());
   spec.attack = AttackKind::kCrash;
-  expect_correct(run_sync(spec));
+  expect_correct(run_scenario(spec));
 }
 
 TEST(SyncProtocol, AuthToleratesSpamEarly) {
-  RunSpec spec = spec_for(small_auth());
+  experiment::ScenarioSpec spec = spec_for(small_auth());
   spec.attack = AttackKind::kSpamEarly;
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   expect_correct(r);
 }
 
 TEST(SyncProtocol, EchoToleratesSpamEarly) {
-  RunSpec spec = spec_for(small_echo());
+  experiment::ScenarioSpec spec = spec_for(small_echo());
   spec.attack = AttackKind::kSpamEarly;
-  expect_correct(run_sync(spec));
+  expect_correct(run_scenario(spec));
 }
 
 TEST(SyncProtocol, AuthToleratesEquivocation) {
-  RunSpec spec = spec_for(small_auth());
+  experiment::ScenarioSpec spec = spec_for(small_auth());
   spec.attack = AttackKind::kEquivocate;
-  expect_correct(run_sync(spec));
+  expect_correct(run_scenario(spec));
 }
 
 TEST(SyncProtocol, EchoToleratesEquivocation) {
-  RunSpec spec = spec_for(small_echo());
+  experiment::ScenarioSpec spec = spec_for(small_echo());
   spec.attack = AttackKind::kEquivocate;
-  expect_correct(run_sync(spec));
+  expect_correct(run_scenario(spec));
 }
 
 TEST(SyncProtocol, AuthToleratesReplay) {
-  RunSpec spec = spec_for(small_auth());
+  experiment::ScenarioSpec spec = spec_for(small_auth());
   spec.attack = AttackKind::kReplay;
-  expect_correct(run_sync(spec));
+  expect_correct(run_scenario(spec));
 }
 
 TEST(SyncProtocol, AuthToleratesForgeryAttempts) {
-  RunSpec spec = spec_for(small_auth());
+  experiment::ScenarioSpec spec = spec_for(small_auth());
   spec.attack = AttackKind::kForge;
-  expect_correct(run_sync(spec));
+  expect_correct(run_scenario(spec));
 }
 
 TEST(SyncProtocol, SpamEarlyCannotBeatUnforgeabilityFloor) {
   // Even with every corrupt signature delivered at time 0, per-node periods
   // can never drop below (P - alpha)/(1+rho) - D: acceptance is anchored to
   // some honest node having been ready.
-  RunSpec spec = spec_for(small_auth());
+  experiment::ScenarioSpec spec = spec_for(small_auth());
   spec.attack = AttackKind::kSpamEarly;
   spec.delay = DelayKind::kZero;  // fastest possible acceptance
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_GE(r.min_period, r.bounds.min_period - 1e-9);
 }
 
@@ -121,17 +120,17 @@ TEST(SyncProtocol, WorksAtMinimumSystemSizes) {
     SyncConfig cfg = small_auth();
     cfg.n = 3;
     cfg.f = 1;  // minimal authenticated system
-    RunSpec spec = spec_for(cfg);
+    experiment::ScenarioSpec spec = spec_for(cfg);
     spec.attack = AttackKind::kSpamEarly;
-    expect_correct(run_sync(spec));
+    expect_correct(run_scenario(spec));
   }
   {
     SyncConfig cfg = small_echo();
     cfg.n = 4;
     cfg.f = 1;  // minimal echo system
-    RunSpec spec = spec_for(cfg);
+    experiment::ScenarioSpec spec = spec_for(cfg);
     spec.attack = AttackKind::kSpamEarly;
-    expect_correct(run_sync(spec));
+    expect_correct(run_scenario(spec));
   }
 }
 
@@ -140,10 +139,10 @@ TEST(SyncProtocol, SingleNodeDegenerateCase) {
   cfg.n = 1;
   cfg.f = 0;
   cfg.initial_sync = 0;
-  RunSpec spec = spec_for(cfg);
+  experiment::ScenarioSpec spec = spec_for(cfg);
   spec.delay = DelayKind::kZero;
   spec.drift = DriftKind::kNone;
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_NEAR(r.max_skew, 0.0, 1e-12);
 }
@@ -151,8 +150,8 @@ TEST(SyncProtocol, SingleNodeDegenerateCase) {
 TEST(SyncProtocol, AmortizedModeKeepsClocksMonotoneAndSynchronized) {
   SyncConfig cfg = small_auth();
   cfg.adjust = AdjustMode::kAmortized;
-  RunSpec spec = spec_for(cfg);
-  const RunResult r = run_sync(spec);
+  experiment::ScenarioSpec spec = spec_for(cfg);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.live);
   // Smoothing never violates monotonicity, so the fitted rate is positive
   // and the skew stays within a slightly relaxed bound (corrections lag by
@@ -164,30 +163,30 @@ TEST(SyncProtocol, AmortizedModeKeepsClocksMonotoneAndSynchronized) {
 TEST(SyncProtocol, SkewBoundedUnderEveryDelayPolicy) {
   for (DelayKind delay : {DelayKind::kZero, DelayKind::kHalf, DelayKind::kMax,
                           DelayKind::kUniform, DelayKind::kSplit, DelayKind::kAlternating}) {
-    RunSpec spec = spec_for(small_auth());
+    experiment::ScenarioSpec spec = spec_for(small_auth());
     spec.delay = delay;
-    const RunResult r = run_sync(spec);
+    const experiment::ScenarioResult r = run_scenario(spec);
     EXPECT_TRUE(r.live) << delay_name(delay);
     EXPECT_LE(r.steady_skew, r.bounds.precision) << delay_name(delay);
   }
 }
 
 TEST(SyncProtocol, DeterministicGivenSeed) {
-  const RunSpec spec = spec_for(small_auth());
-  const RunResult a = run_sync(spec);
-  const RunResult b = run_sync(spec);
+  const experiment::ScenarioSpec spec = spec_for(small_auth());
+  const experiment::ScenarioResult a = run_scenario(spec);
+  const experiment::ScenarioResult b = run_scenario(spec);
   EXPECT_DOUBLE_EQ(a.max_skew, b.max_skew);
   EXPECT_EQ(a.messages_sent, b.messages_sent);
   EXPECT_DOUBLE_EQ(a.min_period, b.min_period);
 }
 
 TEST(SyncProtocol, SeedsChangeOutcomesUnderRandomness) {
-  RunSpec a = spec_for(small_auth());
+  experiment::ScenarioSpec a = spec_for(small_auth());
   a.drift = DriftKind::kRandomWalk;
   a.delay = DelayKind::kUniform;
-  RunSpec b = a;
+  experiment::ScenarioSpec b = a;
   b.seed = a.seed + 1;
-  EXPECT_NE(run_sync(a).max_skew, run_sync(b).max_skew);
+  EXPECT_NE(run_scenario(a).max_skew, run_scenario(b).max_skew);
 }
 
 TEST(SyncProtocol, ResilienceBreakdownBeyondBoundAuth) {
@@ -196,19 +195,19 @@ TEST(SyncProtocol, ResilienceBreakdownBeyondBoundAuth) {
   // itself, destroying the unforgeability anchor: pulses fire arbitrarily
   // fast (min period collapses far below the theoretical floor).
   SyncConfig cfg = small_auth();  // n = 5, f = 2 -> quorum 3
-  RunSpec spec = spec_for(cfg);
+  experiment::ScenarioSpec spec = spec_for(cfg);
   spec.attack = AttackKind::kSpamEarly;
   spec.corrupt_override = 3;  // > f
   spec.delay = DelayKind::kZero;
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   EXPECT_LT(r.min_period, r.bounds.min_period / 2) << "breakdown did not materialize";
 }
 
 TEST(SyncProtocol, MessageComplexityQuadraticPerRound) {
-  RunSpec spec = spec_for(small_auth());
+  experiment::ScenarioSpec spec = spec_for(small_auth());
   spec.delay = DelayKind::kHalf;
   spec.drift = DriftKind::kNone;
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = run_scenario(spec);
   // Per round: n ready broadcasts + n acceptance relays = 2n messages of n
   // recipients each -> ~2n^2 sends per round.
   const double rounds = static_cast<double>(r.rounds_completed);
@@ -222,10 +221,10 @@ TEST(SyncProtocol, LargerSystemStillMeetsBounds) {
   SyncConfig cfg = small_auth();
   cfg.n = 15;
   cfg.f = 7;
-  RunSpec spec = spec_for(cfg);
+  experiment::ScenarioSpec spec = spec_for(cfg);
   spec.attack = AttackKind::kSpamEarly;
   spec.horizon = 12.0;
-  expect_correct(run_sync(spec));
+  expect_correct(run_scenario(spec));
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 /// The Topology abstraction: generator shapes, adjacency/connectivity
 /// queries, determinism of seeded graphs — and the bit-identity contract of
 /// the message path: a simulator given an explicit complete topology must
-/// behave exactly like the legacy topology-free simulator, while sparse
+/// behave exactly like one left to install complete(n) itself, while sparse
 /// graphs restrict broadcast fan-out to neighbors.
 namespace stclock {
 namespace {
@@ -164,19 +164,22 @@ Fleet build_fleet(std::uint32_t n, std::shared_ptr<const Topology> topo, std::ui
 }
 
 TEST(TopologySimulator, NullAndExplicitCompleteTopologyAreBitIdentical) {
-  // The refactor's core contract: installing the (default) complete graph
-  // explicitly takes the same code path — same RNG draws, same event order,
-  // same counters — as the legacy topology-free simulator.
-  Fleet legacy = build_fleet(6, nullptr, 42);
+  // A null SimParams::topology makes the simulator install complete(n)
+  // itself, so both fleets take the same code path — same RNG draws, same
+  // event order, same counters.
+  Fleet implicit = build_fleet(6, nullptr, 42);
   Fleet complete = build_fleet(6, std::make_shared<const Topology>(Topology::complete(6)), 42);
-  legacy.sim->run_until(2.0);
+  implicit.sim->run_until(2.0);
   complete.sim->run_until(2.0);
 
-  EXPECT_EQ(legacy.sim->events_dispatched(), complete.sim->events_dispatched());
-  EXPECT_EQ(legacy.sim->counters().total_sent(), complete.sim->counters().total_sent());
-  EXPECT_EQ(legacy.sim->counters().total_bytes(), complete.sim->counters().total_bytes());
+  ASSERT_NE(implicit.sim->current_topology(), nullptr);
+  EXPECT_TRUE(implicit.sim->current_topology()->is_complete());
+  EXPECT_EQ(implicit.sim->current_topology()->n(), 6u);
+  EXPECT_EQ(implicit.sim->events_dispatched(), complete.sim->events_dispatched());
+  EXPECT_EQ(implicit.sim->counters().total_sent(), complete.sim->counters().total_sent());
+  EXPECT_EQ(implicit.sim->counters().total_bytes(), complete.sim->counters().total_bytes());
   for (NodeId id = 0; id < 6; ++id) {
-    EXPECT_EQ(legacy.procs[id]->heard_from, complete.procs[id]->heard_from);
+    EXPECT_EQ(implicit.procs[id]->heard_from, complete.procs[id]->heard_from);
   }
 }
 
