@@ -13,7 +13,9 @@
 #   --scen   additionally smoke-run the scenario-file driver: scenrun on every
 #            checked-in example grid, then re-run each grid sharded in two
 #            halves (--cells) and verify scenmerge reassembles dumps
-#            byte-identical to the unsharded run.
+#            byte-identical to the unsharded run; and a negative smoke: a
+#            Byzantine spec on sampled fan-out must make scenrun exit
+#            non-zero with the reason on stderr.
 #   --store  additionally smoke-run the result store: cold run of an example
 #            grid with --store, warm re-run asserted 100% hits with
 #            byte-identical dumps, and scenstore ls/stats/gc.
@@ -117,6 +119,20 @@ if [[ "$RUN_SCEN" -eq 1 ]]; then
   diff "$SCEN_TMP/dynamic_ring_grid.full.json" "$SCEN_TMP/dynamic.launched.json"
   diff "$SCEN_TMP/dynamic_ring_grid.full.csv" "$SCEN_TMP/dynamic.launched.csv"
   echo "check.sh: scen smoke OK: dynamic_ring_grid via scenlaunch (byte-identical)"
+  # The sparse-fabric stopgap must be loud through the tool, not only in
+  # gtest: Byzantine faults on a scaled-quorum fan-out fail at load time.
+  cat > "$SCEN_TMP/byzantine_sampled.json" <<'JSON'
+{"base": {"protocol": "auth", "n": 400, "f": 40, "attack": "spam-early",
+          "broadcast_mode": "sampled", "sample_size": 8}}
+JSON
+  if "$BUILD_DIR/scenrun" "$SCEN_TMP/byzantine_sampled.json" --csv /dev/null \
+    2> "$SCEN_TMP/byzantine.err"; then
+    echo "check.sh: scenrun ran a Byzantine spec on sampled fan-out" >&2; exit 1
+  fi
+  grep -q "one Byzantine signature triggers acceptance" "$SCEN_TMP/byzantine.err" \
+    || { echo "check.sh: Byzantine sampled spec failed without the reason:" >&2; \
+         cat "$SCEN_TMP/byzantine.err" >&2; exit 1; }
+  echo "check.sh: scen smoke OK: Byzantine spec on sampled fan-out rejected with the reason"
 fi
 
 if [[ "$RUN_STORE" -eq 1 ]]; then

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "adversary/delay_policies.h"
+#include "broadcast/primitive.h"
 #include "core/sync_protocol.h"
 #include "experiment/registry.h"
 #include "sim/simulator.h"
@@ -232,6 +233,21 @@ void validate_spec_structure(const ScenarioSpec& spec, EngineMode mode) {
   const std::uint32_t corrupt_count = corrupt_count_for(spec);
   ST_REQUIRE(corrupt_count + spec.joiners < cfg.n,
              "run_scenario: need at least one regular honest node");
+  // Stopgap until the sparse fabric is sound under Byzantine faults: a
+  // scaled quorum lets a few Byzantine signatures trigger acceptance. Crash
+  // faults send nothing, and a fan-in of 0 (the full fleet) keeps the
+  // paper's unscaled f+1 quorum, so both stay allowed.
+  const std::uint32_t fanin = broadcast_fanin(spec);
+  ST_REQUIRE(corrupt_count == 0 || spec.attack == AttackKind::kCrash || fanin == 0,
+             std::string("run_scenario: broadcast_mode=") +
+                 broadcast_mode_name(spec.broadcast_mode) + " with " +
+                 std::to_string(corrupt_count) + " Byzantine nodes (attack=" +
+                 attack_name(spec.attack) + ") is unsound: fan-in " + std::to_string(fanin) +
+                 " scales the acceptance quorum to scaled_threshold(f+1, n, fanin) = " +
+                 std::to_string(scaled_threshold(cfg.f + 1, cfg.n, fanin)) +
+                 ", and 1 + floor(f*fanin/(n-1)) is 1 whenever f*fanin < n-1, so one "
+                 "Byzantine signature triggers acceptance; use broadcast_mode=full or "
+                 "attack=crash");
   const std::uint32_t honest_count = cfg.n - corrupt_count;
   ST_REQUIRE(spec.churn_nodes < honest_count - spec.joiners,
              "run_scenario: churn must leave at least one always-up honest node");

@@ -2,37 +2,21 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "util/rng.h"
 #include "util/types.h"
 
-/// Sampling kernels for the sampled broadcast mode.
+/// The sampling kernel for the sampled broadcast mode.
 ///
-/// Both draw exactly `m` variates from the caller's stream for a sample of
-/// size m — the invariant the fabric's determinism rests on — but they pay
-/// very different costs for collisions:
-///
-///  - Floyd's algorithm keeps a scratch set of picked indices and probes it
-///    per draw. With the tiny samples the fabric defaults to, the linear
-///    probe is a few cache lines and beats anything with setup cost.
-///  - Partial Fisher–Yates swaps picks to the front of a mutable copy of the
-///    domain, so there is no membership probe at all — O(m) flat — but it
-///    needs that mutable copy. The simulator caches one (its fy_* members)
-///    and deliberately never un-permutes it: the rows keep holding the same
-///    id sets, and every run replays the same draw sequence, so determinism
-///    survives the accumulated shuffling.
-///
-/// The crossover is benchmarked by bench_tune --sample; m = 64 sits past the
-/// point where Floyd's quadratic probing overtakes the swap loop. Below it
-/// (and on the implicit complete-graph domain, which has no array to
-/// permute) the simulator keeps Floyd bit-identical to earlier engines.
+/// Floyd's algorithm serves every sample size m and every domain: the
+/// implicit all-but-self domain of the complete graph and a CSR neighbor
+/// row alike. It draws exactly m variates for a sample of size m — the
+/// invariant the fabric's determinism rests on — and needs no mutable copy
+/// of the domain. Each draw probes the picks so far, so a sample costs
+/// O(m^2) probes; at the fabric's sample sizes (m = 8 and below in every
+/// checked-in spec) that is a few cache lines.
 namespace stclock::broadcast_sample {
-
-/// Sample sizes below this always use Floyd (identical draws to the
-/// pre-Fisher–Yates engines); at or above it, sparse domains switch.
-inline constexpr std::uint32_t kFisherYatesMinSample = 64;
 
 /// Floyd's algorithm: appends `m` distinct indices in [0, domain_size) to
 /// `out` (which it does not clear), drawing exactly `m` variates.
@@ -44,20 +28,6 @@ inline void floyd_indices(Rng& rng, std::uint32_t domain_size, std::uint32_t m,
     auto pick = static_cast<NodeId>(rng.uniform_int(0, j));
     if (std::find(out.begin(), out.end(), pick) != out.end()) pick = j;
     out.push_back(pick);
-  }
-}
-
-/// Partial Fisher–Yates: permutes the first `m` slots of `row` (length
-/// `domain_size`) with uniformly drawn partners and appends those slots to
-/// `out`. Exactly `m` variates; the row is left permuted — same id set,
-/// different order — which is fine for every later draw over it.
-/// Requires m < domain_size.
-inline void fisher_yates(Rng& rng, NodeId* row, std::uint32_t domain_size, std::uint32_t m,
-                         std::vector<NodeId>& out) {
-  for (std::uint32_t i = 0; i < m; ++i) {
-    const auto j = static_cast<std::uint32_t>(rng.uniform_int(i, domain_size - 1));
-    std::swap(row[i], row[j]);
-    out.push_back(row[i]);
   }
 }
 

@@ -95,7 +95,7 @@ void EventQueue::maybe_rebalance_bottom() {
   // infinite after a wholesale top transfer); with rungs armed the window is
   // one bucket wide. Push the tail back out to the top — cheap, unsorted —
   // keeping at least kBottomKeep entries and never splitting a time cohort.
-  if (!rungs_.empty() || bottom_active() <= tuning_.bottom_overflow) return;
+  if (!rungs_.empty() || bottom_active() <= kBottomOverflow) return;
   const Entry& keep_last = bottom_[bot_head_ + kBottomKeep - 1];
   if (!(keep_last.time < bottom_.back().time)) return;  // one cohort, nothing to move
   const auto split =
@@ -160,7 +160,7 @@ void EventQueue::refill_from_rung() {
   const RealTime lower = r.cur == 0 ? r.start : bucket_boundary(r, r.cur);
   const RealTime upper = r.cur + 1 == nb ? r.end : bucket_boundary(r, r.cur + 1);
 
-  if (bucket.size() > tuning_.spawn_threshold && rungs_.size() < kMaxRungs) {
+  if (bucket.size() > kSpawnThreshold && rungs_.size() < kMaxRungs) {
     RealTime mn = bucket.front().time, mx = bucket.front().time;
     for (const Entry& e : bucket) {
       mn = std::min(mn, e.time);
@@ -197,7 +197,7 @@ void EventQueue::refill_from_rung() {
 }
 
 void EventQueue::transfer_top() {
-  if (top_.size() <= tuning_.spawn_threshold || !(top_min_ < top_max_)) {
+  if (top_.size() <= kSpawnThreshold || !(top_min_ < top_max_)) {
     std::sort(top_.begin(), top_.end(), [](const Entry& a, const Entry& b) {
       return entry_before(a.time, a.seq, b.time, b.seq);
     });

@@ -28,6 +28,10 @@
 /// pushes are never earlier than the last pop (the simulator only schedules
 /// into the future). push_timer/push_delivery enforce this.
 ///
+/// The ladder has no runtime knobs: its two shape thresholds are the
+/// compile-time constants kSpawnThreshold and kBottomOverflow, fixed from a
+/// churn and broadcast-burst grid sweep (README, "Ladder tuning evidence").
+///
 /// Entries stay slim PODs: timer payloads (two ids) are inlined, and
 /// delivery payloads live in a free-listed slab referenced by slot, so
 /// bucket moves never touch a shared_ptr refcount.
@@ -59,19 +63,6 @@ struct Event {
 
 class EventQueue {
  public:
-  /// The sweepable ladder parameters (bench_tune drives grids over these;
-  /// the simulator always runs the defaults, which kSpawnThreshold /
-  /// kBottomOverflow pin together with the sweep evidence).
-  struct Tuning {
-    /// Buckets larger than this spawn a deeper rung instead of sorting.
-    std::size_t spawn_threshold = 64;
-    /// Bottom-list size that triggers pushing its tail back out to the top.
-    std::size_t bottom_overflow = 2048;
-  };
-
-  EventQueue() = default;
-  explicit EventQueue(Tuning tuning) : tuning_(tuning) {}
-
   /// Pre-sizes the delivery slab and the staging arrays for `events`
   /// resident events, so the steady state never reallocates.
   void reserve(std::size_t events);
@@ -129,10 +120,9 @@ class EventQueue {
   };
 
   /// Buckets larger than this spawn a deeper rung instead of being sorted
-  /// wholesale; a direct sort stays O(k log k) for small k. Default of
-  /// Tuning::spawn_threshold; swept by bench_tune --queue (64 sits on the
-  /// flat optimum across churn and broadcast-burst loads — see the
-  /// "Ladder tuning" notes in README).
+  /// wholesale; a direct sort stays O(k log k) for small k. 64 sat on the
+  /// flat optimum of the churn and broadcast-burst grid sweep recorded in
+  /// README ("Ladder tuning evidence").
   static constexpr std::size_t kSpawnThreshold = 64;
   /// Spawn-depth backstop: past this, buckets sort directly no matter their
   /// size (each level divides the time range by >= kMinBuckets, so real
@@ -141,12 +131,9 @@ class EventQueue {
   static constexpr std::size_t kMinBuckets = 16;
   static constexpr std::size_t kMaxBuckets = 65536;
   /// When the bottom list outgrows this with no rungs armed, its tail is
-  /// pushed back out to the top so pops stay O(1). Default of
-  /// Tuning::bottom_overflow; swept by bench_tune --queue.
+  /// pushed back out to the top so pops stay O(1). From the same sweep.
   static constexpr std::size_t kBottomOverflow = 2048;
   static constexpr std::size_t kBottomKeep = 64;
-
-  Tuning tuning_{};
 
   void push_entry(RealTime time, Entry e);
   /// Establishes a non-empty bottom list (requires size_ > 0).

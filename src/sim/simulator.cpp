@@ -83,24 +83,18 @@ Simulator::Simulator(SimParams params, std::vector<HardwareClock> clocks,
     sample_scratch_.reserve(params_.sample_size);
   }
 
-  // Default queue reservation, sized by the graph actually installed: a
-  // broadcast round is ~n^2 resident deliveries on a complete graph but only
-  // ~2E on a sparse one — and the old unconditional n*(n+2) default asked
-  // for terabytes at n = 10^6. Reservation is a pure pre-size (the queue
-  // grows past it fine), so a cap cannot change behavior, only first-touch
-  // allocation timing.
-  std::size_t reserve = params_.queue_reserve;
-  if (reserve == 0) {
-    const auto n = static_cast<std::size_t>(params_.n);
-    if (params_.topology->is_complete()) {
-      reserve = n * (n + 2);
-    } else {
-      reserve = 2 * params_.topology->edge_count() + 4 * n;
-    }
-    constexpr std::size_t kQueueReserveCap = std::size_t{1} << 22;  // ~128 MB of slab
-    reserve = std::min(reserve, kQueueReserveCap);
-  }
-  queue_.reserve(reserve);
+  // Queue reservation, sized by the graph actually installed: a broadcast
+  // round is ~n^2 resident deliveries on a complete graph but only ~2E on a
+  // sparse one — and an unconditional n*(n+2) would ask for terabytes at
+  // n = 10^6. Reservation is a pure pre-size (the queue grows past it
+  // fine), so the cap cannot change behavior, only first-touch allocation
+  // timing.
+  const auto n = static_cast<std::size_t>(params_.n);
+  const std::size_t reserve = params_.topology->is_complete()
+                                  ? n * (n + 2)
+                                  : 2 * params_.topology->edge_count() + 4 * n;
+  constexpr std::size_t kQueueReserveCap = std::size_t{1} << 22;  // ~128 MB of slab
+  queue_.reserve(std::min(reserve, kQueueReserveCap));
   timer_states_.reserve(static_cast<std::size_t>(params_.n) * 4);
   timer_owners_.reserve(static_cast<std::size_t>(params_.n) * 4);
 
@@ -375,7 +369,7 @@ void Simulator::honest_send(NodeId from, NodeId to, const Message& m) {
   // This overload is the unicast entry point (Context::send), so the link
   // check lives here: a send off the graph physically cannot be carried and
   // is lost like partitioned traffic. Broadcast traffic never needs the
-  // check — its fan-out loop only visits neighbors — which keeps the
+  // check — its recipient walk only visits neighbors — which keeps the
   // per-recipient hot path below free of it.
   if (to != from && !topo_now_->adjacent(from, to)) {
     counters_.on_send(message_kind(m), message_size_bytes(m));
@@ -532,39 +526,7 @@ void Context::broadcast(const Message& m) {
   // Intern the payload once for the whole fan-out: n refcount bumps instead
   // of n deep copies (a RoundMsg relay bundle carries Theta(n) signatures).
   const auto msg = std::make_shared<const Message>(m);
-  if (sim_->params_.broadcast_mode == BroadcastMode::kSampled) {
-    sim_->sampled_fan_out(id_, msg);
-    return;
-  }
-  const Topology* topo = sim_->topo_now_;
-  if (topo->is_complete()) {
-    for (NodeId to = 0; to < sim_->params_.n; ++to) sim_->honest_send(id_, to, msg);
-    return;
-  }
-  sim_->sparse_fan_out(id_, *topo, msg);
-}
-
-// Kept out of line on purpose: honest_send inlines into its caller's fan-out
-// loop, and letting the three sparse call sites inline it too doubles the
-// size of Context::broadcast and measurably slows the complete-graph loop
-// (the tracked BM_Broadcast benches) through worse code layout.
-__attribute__((noinline)) void Simulator::sparse_fan_out(
-    NodeId from, const Topology& topo, const std::shared_ptr<const Message>& msg) {
-  // The broadcast reaches self plus neighbors, in the same ascending order
-  // the complete loop would visit them, so same-time delivery ties keep
-  // breaking by the same insertion order. Reads the CSR row as a raw span —
-  // no iterator machinery in the per-neighbor loop.
-  const auto [nbrs, degree] = topo.neighbor_span(from);
-  bool self_sent = false;
-  for (std::size_t i = 0; i < degree; ++i) {
-    const NodeId to = nbrs[i];
-    if (!self_sent && to > from) {
-      honest_send(from, from, msg);
-      self_sent = true;
-    }
-    honest_send(from, to, msg);
-  }
-  if (!self_sent) honest_send(from, from, msg);
+  sim_->for_each_recipient(id_, [&](NodeId to) { sim_->honest_send(id_, to, msg); });
 }
 
 bool Simulator::sample_broadcast_targets(NodeId from) {
@@ -581,69 +543,17 @@ bool Simulator::sample_broadcast_targets(NodeId from) {
   }
   if (domain_size <= m) return false;  // degenerate: the full fan-out, no draws
   sample_scratch_.clear();
-  if (domain != nullptr && m >= broadcast_sample::kFisherYatesMinSample) {
-    // Large sample over a CSR row: partial Fisher–Yates over the simulator's
-    // private mutable copy of the topology's rows — O(m) flat, no membership
-    // probe. Rows stay permuted between draws (same id set, deterministic
-    // draw sequence), so no undo pass is needed.
-    if (fy_src_ != topo) {
-      fy_src_ = topo;
-      const std::uint32_t n = topo->n();
-      fy_offsets_.assign(n + 1, 0);
-      std::size_t total = 0;
-      for (NodeId v = 0; v < n; ++v) {
-        fy_offsets_[v] = total;
-        total += topo->neighbor_span(v).second;
-      }
-      fy_offsets_[n] = total;
-      fy_rows_.resize(total);
-      for (NodeId v = 0; v < n; ++v) {
-        const auto [nbrs, deg] = topo->neighbor_span(v);
-        std::copy(nbrs, nbrs + deg, fy_rows_.begin() + static_cast<std::ptrdiff_t>(fy_offsets_[v]));
-      }
-    }
-    broadcast_sample::fisher_yates(*bcast_rng_, fy_rows_.data() + fy_offsets_[from],
-                                   domain_size, m, sample_scratch_);
-  } else {
-    // Floyd's algorithm: m distinct indices in [0, domain_size), exactly m
-    // draws from the dedicated stream regardless of domain size. The scratch
-    // stays tiny (m entries), so the membership probe is a linear scan.
-    broadcast_sample::floyd_indices(*bcast_rng_, domain_size, m, sample_scratch_);
-    // Map indices to node ids: the implicit complete domain is 0..n-1 minus
-    // self, a CSR row already holds ids (and never contains self).
-    for (NodeId& id : sample_scratch_) {
-      id = domain != nullptr ? domain[id] : (id < from ? id : id + 1);
-    }
+  // Floyd's algorithm: m distinct indices in [0, domain_size), exactly m
+  // draws from the dedicated stream regardless of domain size.
+  broadcast_sample::floyd_indices(*bcast_rng_, domain_size, m, sample_scratch_);
+  // Map indices to node ids: the implicit complete domain is 0..n-1 minus
+  // self, a CSR row already holds ids (and never contains self).
+  for (NodeId& id : sample_scratch_) {
+    id = domain != nullptr ? domain[id] : (id < from ? id : id + 1);
   }
-  // Ascending, so same-time delivery ties break in the same id order every
-  // other fan-out uses.
+  // Ascending, as the recipient walk requires.
   std::sort(sample_scratch_.begin(), sample_scratch_.end());
   return true;
-}
-
-__attribute__((noinline)) void Simulator::sampled_fan_out(
-    NodeId from, const std::shared_ptr<const Message>& msg) {
-  if (!sample_broadcast_targets(from)) {
-    // Domain no larger than the sample: identical to the full fan-out.
-    const Topology* topo = topo_now_;
-    if (topo->is_complete()) {
-      for (NodeId to = 0; to < params_.n; ++to) honest_send(from, to, msg);
-    } else {
-      sparse_fan_out(from, *topo, msg);
-    }
-    return;
-  }
-  // Self plus the sampled peers, self interleaved at its ascending position
-  // exactly like sparse_fan_out.
-  bool self_sent = false;
-  for (const NodeId to : sample_scratch_) {
-    if (!self_sent && to > from) {
-      honest_send(from, from, msg);
-      self_sent = true;
-    }
-    honest_send(from, to, msg);
-  }
-  if (!self_sent) honest_send(from, from, msg);
 }
 
 void Context::send(NodeId to, const Message& m) { sim_->honest_send(id_, to, m); }
@@ -694,29 +604,14 @@ void AdversaryContext::send_from(NodeId from, NodeId to, const Message& m,
 }
 
 void AdversaryContext::send_from_to_all(NodeId from, const Message& m, RealTime deliver_at) {
+  // The flood walks the same recipients an honest broadcast from `from`
+  // would (under kSampled: the same stream and domain, so traffic patterns
+  // stay comparable). Corrupted recipients, the sender among them, are
+  // simply not sent to.
   const auto msg = std::make_shared<const Message>(m);
-  if (sim_->params_.broadcast_mode == BroadcastMode::kSampled &&
-      sim_->sample_broadcast_targets(from)) {
-    // The adversary's flood samples from the same stream and domain as an
-    // honest broadcast would (traffic patterns stay comparable); picks that
-    // land on fellow corrupted nodes are simply not sent.
-    for (const NodeId to : sim_->sample_scratch_) {
-      if (!sim_->is_corrupt(to)) sim_->adversary_send(from, to, msg, deliver_at);
-    }
-    return;
-  }
-  const Topology* topo = sim_->topo_now_;
-  if (topo->is_complete()) {
-    for (NodeId to = 0; to < sim_->params_.n; ++to) {
-      if (!sim_->is_corrupt(to)) sim_->adversary_send(from, to, msg, deliver_at);
-    }
-    return;
-  }
-  // The corrupted node's flood reaches only its honest neighbors.
-  const auto [nbrs, degree] = topo->neighbor_span(from);
-  for (std::size_t i = 0; i < degree; ++i) {
-    if (!sim_->is_corrupt(nbrs[i])) sim_->adversary_send(from, nbrs[i], msg, deliver_at);
-  }
+  sim_->for_each_recipient(from, [&](NodeId to) {
+    if (!sim_->is_corrupt(to)) sim_->adversary_send(from, to, msg, deliver_at);
+  });
 }
 
 const crypto::Signer& AdversaryContext::signer_for(NodeId corrupt_id) const {

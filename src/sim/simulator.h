@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -36,10 +37,6 @@ struct SimParams {
   std::uint64_t seed = 1;
   /// Safety valve against runaway protocols.
   std::uint64_t max_events = 50'000'000;
-  /// Pre-sizing hint for the event queue: the expected number of events
-  /// resident at once. Zero derives the default from n — one full broadcast
-  /// round of deliveries plus per-node timers, n * (n + 2).
-  std::size_t queue_reserve = 0;
   /// Network graph. Null makes the constructor install Topology::complete(n),
   /// the paper's fully connected system. Any other graph restricts
   /// broadcasts to neighbors and drops sends on missing links.
@@ -276,20 +273,25 @@ class Simulator {
   void honest_send(NodeId from, NodeId to, const Message& m);
   /// Pre-shared overload: Context::broadcast interns the message once and
   /// fans the same immutable payload out to every recipient. Trusts the
-  /// caller to respect the topology (the fan-out loop visits neighbors
+  /// caller to respect the topology (the recipient walk visits neighbors
   /// only), keeping the per-recipient path free of adjacency checks.
   void honest_send(NodeId from, NodeId to, std::shared_ptr<const Message> msg);
-  /// Broadcast fan-out on a non-complete topology: self plus neighbors.
-  void sparse_fan_out(NodeId from, const Topology& topo,
-                      const std::shared_ptr<const Message>& msg);
   /// kSampled: fills sample_scratch_ with this broadcast's recipients —
-  /// params.sample_size distinct draws from the sender's domain (neighbor
-  /// row, or everyone else on the complete graph), sorted ascending, self
-  /// excluded. Returns false WITHOUT consuming draws when the domain is no
-  /// larger than the sample; the caller falls back to the full fan-out.
+  /// params.sample_size distinct Floyd draws from the sender's domain
+  /// (neighbor row, or everyone else on the complete graph), sorted
+  /// ascending, self excluded. Returns false WITHOUT consuming draws when
+  /// the domain is no larger than the sample; the walk then falls back to
+  /// the full fan-out.
   bool sample_broadcast_targets(NodeId from);
-  /// Broadcast fan-out under kSampled: self plus the sampled peer set.
-  void sampled_fan_out(NodeId from, const std::shared_ptr<const Message>& msg);
+  /// The one broadcast recipient walk, shared by honest broadcasts, the
+  /// adversary's flood and both engines. Recipients are the sampled peer set
+  /// when the mode is kSampled and sample_broadcast_targets draws one;
+  /// otherwise every id on the complete graph, or else the sender's CSR row.
+  /// Calls visit(to) for each in ascending id order, `from` itself included
+  /// at its ascending slot, so same-time delivery ties break by the same
+  /// insertion order in every fan-out.
+  template <typename Visit>
+  void for_each_recipient(NodeId from, Visit&& visit);
   void adversary_send(NodeId from, NodeId to, std::shared_ptr<const Message> msg,
                       RealTime deliver_at);
   TimerId arm_timer(NodeId node, RealTime fire_at,
@@ -367,15 +369,6 @@ class Simulator {
   std::optional<Rng> bcast_rng_;
   /// Recipient scratch for sampled fan-outs (capacity sample_size, reused).
   std::vector<NodeId> sample_scratch_;
-  /// Mutable CSR copy backing the partial Fisher–Yates sampled draws (only
-  /// built once a sampled run actually draws with sample_size >=
-  /// kFisherYatesMinSample on a sparse graph; see broadcast_sample.h). Rows
-  /// are left permuted between draws — same id set, order evolving — which
-  /// keeps every draw O(m) while the seed -> sample-sequence mapping stays a
-  /// pure function of (seed, topology, draw order).
-  std::vector<std::uint64_t> fy_offsets_;
-  std::vector<NodeId> fy_rows_;
-  const Topology* fy_src_ = nullptr;
   std::uint64_t corruption_events_fired_ = 0;
   std::uint64_t nodes_corrupted_ = 0;
 
@@ -396,5 +389,28 @@ class Simulator {
   bool par_checked_ = false;
   std::uint64_t parallel_windows_ = 0;
 };
+
+template <typename Visit>
+void Simulator::for_each_recipient(NodeId from, Visit&& visit) {
+  // An explicit peer list (a CSR row or the sampled set) is ascending and
+  // never holds self, so self's slot is where the list crosses `from`. Kept
+  // out of line: inlining this second loop next to the complete-graph one
+  // measurably slows the latter (BM_Broadcast_*) through worse code layout.
+  const auto walk_list = [&](const NodeId* first, const NodeId* last)
+                             __attribute__((noinline)) {
+    const NodeId* split = std::lower_bound(first, last, from);
+    for (const NodeId* p = first; p != split; ++p) visit(*p);
+    visit(from);
+    for (const NodeId* p = split; p != last; ++p) visit(*p);
+  };
+  if (params_.broadcast_mode == BroadcastMode::kSampled && sample_broadcast_targets(from)) {
+    walk_list(sample_scratch_.data(), sample_scratch_.data() + sample_scratch_.size());
+  } else if (!topo_now_->is_complete()) {
+    const auto [nbrs, degree] = topo_now_->neighbor_span(from);
+    walk_list(nbrs, nbrs + degree);
+  } else {
+    for (NodeId to = 0; to < params_.n; ++to) visit(to);
+  }
+}
 
 }  // namespace stclock

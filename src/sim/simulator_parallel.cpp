@@ -536,30 +536,13 @@ struct Simulator::ParEngine {
       wk.ops.push_back(Op{OpKind::kSampledBcast, from, child, time, 0, std::move(msg)});
       return;
     }
-    const Topology* topo = sim->topo_now_;
-    if (topo->is_complete()) {
-      for (NodeId to = 0; to < sim->params_.n; ++to) {
-        if (to == from) {
-          op_send_self(from, msg);
-        } else {
-          op_send_peer(to, msg);
-        }
-      }
-      return;
-    }
-    // Sparse: self interleaved at its ascending position, like
-    // sparse_fan_out, so replay reproduces the sequential seq order.
-    const auto [nbrs, degree] = topo->neighbor_span(from);
-    bool self_sent = false;
-    for (std::size_t i = 0; i < degree; ++i) {
-      const NodeId to = nbrs[i];
-      if (!self_sent && to > from) {
+    sim->for_each_recipient(from, [&](NodeId to) {
+      if (to == from) {
         op_send_self(from, msg);
-        self_sent = true;
+      } else {
+        op_send_peer(to, msg);
       }
-      op_send_peer(to, msg);
-    }
-    if (!self_sent) op_send_self(from, msg);
+    });
   }
 
   TimerId worker_arm_timer(NodeId v, RealTime fire_at, TimerState kind) {
@@ -696,42 +679,15 @@ struct Simulator::ParEngine {
         S.queue_.push_delivery(rec.time, DeliveryEvent{from, from, op.msg, rec.time});
       }
     };
-    if (S.sample_broadcast_targets(from)) {
-      bool self_sent = false;
-      for (const NodeId to : S.sample_scratch_) {
-        if (!self_sent && to > from) {
-          self_commit();
-          self_sent = true;
-        }
+    // The peer draws happen here, in canonical commit order; a domain no
+    // larger than the sample takes the walk's full fan-out, no draws.
+    S.for_each_recipient(from, [&](NodeId to) {
+      if (to == from) {
+        self_commit();
+      } else {
         send_peer_commit(rec, to, op.msg);
       }
-      if (!self_sent) self_commit();
-      return;
-    }
-    // Domain no larger than the sample: the full fan-out, no draws — same
-    // fallback the sequential sampled_fan_out takes.
-    const Topology* topo = S.topo_now_;
-    if (topo->is_complete()) {
-      for (NodeId to = 0; to < S.params_.n; ++to) {
-        if (to == from) {
-          self_commit();
-        } else {
-          send_peer_commit(rec, to, op.msg);
-        }
-      }
-      return;
-    }
-    const auto [nbrs, degree] = topo->neighbor_span(from);
-    bool self_sent = false;
-    for (std::size_t i = 0; i < degree; ++i) {
-      const NodeId to = nbrs[i];
-      if (!self_sent && to > from) {
-        self_commit();
-        self_sent = true;
-      }
-      send_peer_commit(rec, to, op.msg);
-    }
-    if (!self_sent) self_commit();
+    });
   }
 };
 

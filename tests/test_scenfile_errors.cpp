@@ -81,6 +81,11 @@ const BadCase kCorpus[] = {
      "expander degree must be even and >= 2, got 5"},
     {"sampled_without_sample_size", R"({"base": {"broadcast_mode": "sampled"}})",
      "broadcast_mode=sampled needs sample_size >= 1"},
+    // Stopgap: Byzantine faults on a non-full fan-out are unsound.
+    {"byzantine_on_sampled_mode",
+     R"({"base": {"protocol": "auth", "n": 400, "f": 40, "attack": "spam-early",
+                  "broadcast_mode": "sampled", "sample_size": 8}})",
+     "run_scenario: broadcast_mode=sampled with 40 Byzantine nodes"},
     // --- topology_events (PR-5 dynamic topologies) ---
     {"topology_events_not_array", R"({"base": {"topology_events": 3}})",
      "base.topology_events: expected array, got number"},
@@ -192,6 +197,38 @@ TEST(ScenfileErrors, ValidationErrorsNameTheOffendingCell) {
     EXPECT_NE(message.find("cell 1 (protocol=echo)"), std::string::npos) << message;
     EXPECT_NE(message.find("resilience"), std::string::npos) << message;
   }
+}
+
+TEST(ScenfileErrors, ByzantineSparseFabricRowsAreRejectedAtLoadTime) {
+  // The three unsound rows (auth, spam-early): each must fail at load time
+  // with the cell named and the reason given; the crash-fault variant loads.
+  const char* rows[] = {
+      R"({"base": {"protocol": "auth", "n": 400, "f": 40, "attack": "spam-early",
+                   "broadcast_mode": "sampled", "sample_size": 8}})",
+      R"({"base": {"protocol": "auth", "n": 400, "f": 40, "attack": "spam-early",
+                   "topology": "expander", "expander_k": 16,
+                   "broadcast_mode": "neighbors"}})",
+      R"({"base": {"protocol": "auth", "n": 2000, "f": 100, "attack": "spam-early",
+                   "broadcast_mode": "sampled", "sample_size": 8}})",
+  };
+  for (const char* text : rows) {
+    SCOPED_TRACE(text);
+    try {
+      (void)parse_grid(text, "grid.json");
+      FAIL() << "expected ScenarioFileError";
+    } catch (const ScenarioFileError& e) {
+      const std::string message = e.what();
+      EXPECT_EQ(message.rfind("grid.json: cell 0: ", 0), 0u) << message;
+      EXPECT_NE(message.find("run_scenario: broadcast_mode="), std::string::npos) << message;
+      EXPECT_NE(message.find("so one Byzantine signature triggers acceptance"),
+                std::string::npos)
+          << message;
+    }
+  }
+  EXPECT_NO_THROW((void)parse_grid(
+      R"({"base": {"protocol": "auth", "n": 400, "f": 40, "attack": "crash",
+                   "broadcast_mode": "sampled", "sample_size": 8}})",
+      "grid.json"));
 }
 
 const char* valid_document() {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "clocks/drift_models.h"
@@ -334,6 +336,178 @@ TEST(Simulator, DeterministicGivenSeed) {
     return p->log().at(0).at;
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());
+}
+
+
+// --- The broadcast recipient walk ---
+// Every fan-out (honest broadcast, adversary flood, both engines) visits its
+// recipients in ascending id order. Deliveries that share a time dispatch in
+// send order, so logging who receives a same-time fan-out reads the walk
+// back in the order it was made.
+
+/// Appends its own id to a shared log on every delivery from `watched`.
+class WalkLog final : public Process {
+ public:
+  WalkLog(NodeId self, NodeId watched, std::vector<NodeId>* log)
+      : self_(self), watched_(watched), log_(log) {}
+  void on_start(Context&) override {}
+  void on_message(Context&, NodeId from, const Message&) override {
+    if (from == watched_) log_->push_back(self_);
+  }
+  void on_timer(Context&, TimerId) override {}
+
+ private:
+  NodeId self_;
+  NodeId watched_;
+  std::vector<NodeId>* log_;
+};
+
+/// One adversary flood from `from` at start, delivered at t = 0.5.
+class Flooder final : public Adversary {
+ public:
+  explicit Flooder(NodeId from) : from_(from) {}
+  void on_start(AdversaryContext& ctx) override {
+    ctx.send_from_to_all(from_, Message(InitMsg{1}), 0.5);
+  }
+  void on_message(AdversaryContext&, NodeId, NodeId, const Message&) override {}
+  void on_timer(AdversaryContext&, TimerId) override {}
+
+ private:
+  NodeId from_;
+};
+
+struct Fabric {
+  std::shared_ptr<const Topology> topology;  // null = complete graph
+  BroadcastMode mode = BroadcastMode::kFull;
+  std::uint32_t sample_size = 0;
+};
+
+SimParams fabric_params(std::uint32_t n, const Fabric& fabric) {
+  SimParams params;
+  params.n = n;
+  params.tdel = 0.01;
+  params.seed = 17;
+  params.topology = fabric.topology;
+  params.broadcast_mode = fabric.mode;
+  params.sample_size = fabric.sample_size;
+  return params;
+}
+
+/// Runs one adversary flood from `from` (corrupted together with `others`)
+/// and returns the recipients in delivery order plus the messages sent.
+std::pair<std::vector<NodeId>, std::uint64_t> flood_recipients(
+    std::uint32_t n, const Fabric& fabric, NodeId from, const std::vector<NodeId>& others) {
+  Simulator sim(fabric_params(n, fabric), identity_clocks(n),
+                std::make_unique<FixedDelay>(1.0), nullptr);
+  std::vector<NodeId> corrupt = others;
+  corrupt.push_back(from);
+  std::vector<NodeId> log;
+  for (NodeId id = 0; id < n; ++id) {
+    if (std::find(corrupt.begin(), corrupt.end(), id) == corrupt.end()) {
+      sim.set_process(id, std::make_unique<WalkLog>(id, from, &log));
+    }
+  }
+  sim.set_adversary(corrupt, std::make_unique<Flooder>(from));
+  sim.run_until(1.0);
+  return {log, sim.counters().total_sent()};
+}
+
+/// Runs one honest broadcast from `from` (no adversary) and returns its
+/// peers in delivery order (the immediate self-delivery is left out).
+std::vector<NodeId> broadcast_peers(std::uint32_t n, const Fabric& fabric, NodeId from) {
+  Simulator sim(fabric_params(n, fabric), identity_clocks(n),
+                std::make_unique<FixedDelay>(1.0), nullptr);
+  std::vector<NodeId> log;
+  for (NodeId id = 0; id < n; ++id) {
+    if (id == from) {
+      sim.set_process(id, std::make_unique<OneShotBroadcaster>());
+    } else {
+      sim.set_process(id, std::make_unique<WalkLog>(id, from, &log));
+    }
+  }
+  sim.run_until(1.0);
+  return log;
+}
+
+bool is_corrupt_in(const std::vector<NodeId>& corrupt, NodeId id) {
+  return std::find(corrupt.begin(), corrupt.end(), id) != corrupt.end();
+}
+
+TEST(SimulatorWalk, AdversaryFloodOnCompleteGraphReachesEveryHonestNodeAscending) {
+  constexpr std::uint32_t kN = 12;
+  const std::vector<NodeId> others = {2, 9};
+  const auto [log, sent] = flood_recipients(kN, Fabric{}, 5, others);
+  std::vector<NodeId> expected;
+  for (NodeId id = 0; id < kN; ++id) {
+    if (id != 5 && !is_corrupt_in(others, id)) expected.push_back(id);
+  }
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sent, expected.size());
+}
+
+TEST(SimulatorWalk, AdversaryFloodOnExpanderReachesHonestNeighborsAscending) {
+  constexpr std::uint32_t kN = 40;
+  const auto topo = std::make_shared<const Topology>(Topology::expander(kN, 6, 3));
+  const NodeId from = 17;
+  // Corrupt two of the flooder's own neighbors: the flood must skip them.
+  const auto [nbrs, degree] = topo->neighbor_span(from);
+  ASSERT_GE(degree, 4u);
+  const std::vector<NodeId> others = {nbrs[0], nbrs[degree - 1]};
+  const auto [log, sent] =
+      flood_recipients(kN, Fabric{topo, BroadcastMode::kNeighbors, 0}, from, others);
+  std::vector<NodeId> expected;
+  for (std::size_t i = 0; i < degree; ++i) {
+    if (!is_corrupt_in(others, nbrs[i])) expected.push_back(nbrs[i]);
+  }
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sent, degree - 2);
+}
+
+TEST(SimulatorWalk, AdversaryFloodUnderSampledModePicksTheHonestBroadcastSample) {
+  constexpr std::uint32_t kN = 40;
+  const auto topo = std::make_shared<const Topology>(Topology::expander(kN, 12, 3));
+  const Fabric fabric{topo, BroadcastMode::kSampled, 4};
+  const NodeId from = 17;
+
+  // From identical simulator states (same seed, same graph, no earlier
+  // draws), an honest broadcast and an adversary flood draw the same peers.
+  const std::vector<NodeId> peers = broadcast_peers(kN, fabric, from);
+  ASSERT_EQ(peers.size(), 4u);
+  EXPECT_TRUE(std::is_sorted(peers.begin(), peers.end()));
+  const auto [all_log, all_sent] = flood_recipients(kN, fabric, from, {});
+  EXPECT_EQ(all_log, peers);
+  EXPECT_EQ(all_sent, 4u);
+
+  // Corrupted picks are drawn but not sent: the flood reaches the honest
+  // part of the same sample, still ascending.
+  const std::vector<NodeId> others = {peers[1], peers[3]};
+  const auto [log, sent] = flood_recipients(kN, fabric, from, others);
+  EXPECT_EQ(log, (std::vector<NodeId>{peers[0], peers[2]}));
+  EXPECT_EQ(sent, 2u);
+}
+
+TEST(SimulatorWalk, LargeSamplesOverACsrRowAreDistinctAscendingNeighbors) {
+  // Samples of 64 and 200 peers out of a row of more than 200 neighbors:
+  // every pick must be a distinct neighbor, never self, sent in ascending
+  // order.
+  constexpr std::uint32_t kN = 4096;
+  const auto topo = std::make_shared<const Topology>(Topology::expander(kN, 256, 5));
+  const NodeId from = 1234;
+  const auto [nbrs, degree] = topo->neighbor_span(from);
+  ASSERT_GT(degree, 200u);
+  for (const std::uint32_t m : {64u, 200u}) {
+    SCOPED_TRACE(m);
+    const std::vector<NodeId> peers =
+        broadcast_peers(kN, Fabric{topo, BroadcastMode::kSampled, m}, from);
+    ASSERT_EQ(peers.size(), m);
+    EXPECT_TRUE(std::adjacent_find(peers.begin(), peers.end(),
+                                   [](NodeId a, NodeId b) { return a >= b; }) == peers.end())
+        << "peers must be strictly ascending (distinct)";
+    for (const NodeId p : peers) {
+      EXPECT_NE(p, from);
+      EXPECT_TRUE(std::binary_search(nbrs, nbrs + degree, p)) << p << " is not a neighbor";
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -212,6 +213,85 @@ TEST(SparseFabric, SampledModeCutsMessageComplexity) {
   EXPECT_TRUE(rf.live);
   EXPECT_TRUE(rs.live);
   EXPECT_LT(rs.messages_sent * 2, rf.messages_sent);
+}
+
+
+// --- Stopgap: Byzantine faults on a non-full fan-out are rejected ---
+// The scaled quorum 1 + floor(f*fanin/(n-1)) is 1 whenever f*fanin < n-1,
+// so a single Byzantine signature triggers acceptance. These rows used to
+// run and report live=1 beside a max_skew of 13.01 against a 0.030 bound.
+
+experiment::ScenarioSpec byzantine_fabric_row(std::uint32_t n, std::uint32_t f) {
+  experiment::ScenarioSpec spec;
+  spec.protocol = "auth";
+  spec.cfg.n = n;
+  spec.cfg.f = f;
+  spec.cfg.rho = 1e-4;
+  spec.cfg.tdel = 0.01;
+  spec.cfg.period = 1.0;
+  spec.cfg.initial_sync = 0.005;
+  spec.seed = 1;
+  spec.horizon = 5.0;
+  spec.drift = DriftKind::kRandomWalk;
+  spec.delay = DelayKind::kUniform;
+  spec.attack = AttackKind::kSpamEarly;
+  return spec;
+}
+
+std::vector<experiment::ScenarioSpec> byzantine_fabric_rows() {
+  experiment::ScenarioSpec sampled_400 = byzantine_fabric_row(400, 40);
+  sampled_400.broadcast_mode = BroadcastMode::kSampled;
+  sampled_400.sample_size = 8;
+
+  experiment::ScenarioSpec expander_400 = byzantine_fabric_row(400, 40);
+  expander_400.topology = TopologyKind::kExpander;
+  expander_400.expander_k = 16;
+  expander_400.broadcast_mode = BroadcastMode::kNeighbors;
+
+  experiment::ScenarioSpec sampled_2000 = byzantine_fabric_row(2000, 100);
+  sampled_2000.broadcast_mode = BroadcastMode::kSampled;
+  sampled_2000.sample_size = 8;
+  return {sampled_400, expander_400, sampled_2000};
+}
+
+TEST(SparseFabricStopgap, ByzantineFaultsOnNonFullFanOutAreRejectedWithTheReason) {
+  for (const experiment::ScenarioSpec& spec : byzantine_fabric_rows()) {
+    SCOPED_TRACE(std::string(broadcast_mode_name(spec.broadcast_mode)) +
+                 " n=" + std::to_string(spec.cfg.n));
+    try {
+      (void)experiment::run_scenario(spec);
+      FAIL() << "expected the stopgap rejection";
+    } catch (const std::logic_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(std::string("broadcast_mode=") +
+                             broadcast_mode_name(spec.broadcast_mode) + " with " +
+                             std::to_string(spec.cfg.f) + " Byzantine nodes (attack=spam-early)"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("is 1 whenever f*fanin < n-1, so one Byzantine signature "
+                             "triggers acceptance"),
+                std::string::npos)
+          << message;
+    }
+  }
+}
+
+TEST(SparseFabricStopgap, FullFanOutAndCrashFaultsStillRun) {
+  // The same fault load on the full fan-out is the paper's setting.
+  experiment::ScenarioSpec full = byzantine_fabric_row(40, 4);
+  EXPECT_NO_THROW(experiment::validate_spec(full, experiment::EngineMode::kSyncProtocol));
+
+  // Crash faults send nothing, so sampled fan-out with f > 0 still runs.
+  experiment::ScenarioSpec crash = byzantine_fabric_row(40, 4);
+  crash.attack = AttackKind::kCrash;
+  crash.topology = TopologyKind::kExpander;
+  crash.expander_k = 16;
+  crash.broadcast_mode = BroadcastMode::kSampled;
+  crash.sample_size = 8;
+  crash.horizon = 3.0;
+  const experiment::ScenarioResult r = experiment::run_scenario(crash);
+  EXPECT_TRUE(r.live);
+  EXPECT_GT(r.messages_sent, 0u);
 }
 
 }  // namespace
