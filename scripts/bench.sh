@@ -6,10 +6,13 @@
 #
 # Usage: scripts/bench.sh [--smoke] [--scale] [--label NAME] [build-dir]
 #   --smoke   1-iteration run to a temp file (CI bit-rot guard; does NOT
-#             touch BENCH_core.json)
-#   --scale   run the bench_scale sparse-fabric sweep (auth on expander k=16,
-#             full vs sampled fan-out) instead of bench_micro, and append its
-#             rows as a labelled point to BENCH_core.json
+#             touch BENCH_core.json); with --scale, one repeat of the
+#             sparse_fabric grid only
+#   --scale   instead of bench_micro, run every cell of the scale grids in
+#             examples/scenarios/scale/ (sparse_fabric, full_fanout,
+#             thread_curve, frontier) as 3 fresh scenrun children each, and
+#             append the rows as a labelled point to BENCH_core.json; exits
+#             non-zero, naming the cell, on a wall or RSS budget breach
 #   --label   label recorded with the run (default: git describe)
 #   build-dir defaults to build-bench
 set -euo pipefail
@@ -35,64 +38,129 @@ done
 
 if [[ "$SCALE" -eq 1 ]]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$BUILD_DIR" -j --target bench_scale
+  cmake --build "$BUILD_DIR" -j --target scenrun
 
-  ROWS="$(mktemp)"
-  trap 'rm -f "$ROWS"' EXIT
-  # The message-complexity cliff: the same auth cells in full mode (Theta(n^2)
-  # per round — n = 1000 alone is ~5M messages and ~90 s, which is why the
-  # full leg stops there) vs sampled fan-out on an expander (O(m*n), so
-  # n = 10^5 is cheaper than full mode at n = 10^3). The acceptance cell is
-  # the n = 10^5 sampled row, budget-enforced.
-  # (n = 4096, not a round 4000: cells at or above kScaleMetricThreshold use
-  # the O(n) streaming metric policy; 4000 would pay full-fidelity metrics
-  # and dominate its own row.)
-  "$BUILD_DIR/bench_scale" --protocol auth --topology complete --mode full \
-    --n 1000 --horizon 5 --json "$ROWS"
-  "$BUILD_DIR/bench_scale" --protocol auth --topology expander --expander-k 16 \
-    --mode sampled --sample 8 --n 1000 --n 4096 --n 100000 --horizon 5 \
-    --budget 120 --json "$ROWS"
+  # Every cell of the four scale grids (examples/scenarios/scale/), each
+  # repeat in a fresh scenrun child so no run inherits another's heap:
+  #  - sparse_fabric: auth on expander(16), sampled(8) at n = 10^3, 4096 and
+  #    10^5 (the acceptance cell), 120 s per cell;
+  #  - full_fanout: the same auth cell on the complete graph, full fan-out,
+  #    n = 10^3 — Theta(n^2) messages per round, the far side of the
+  #    message-complexity cliff;
+  #  - thread_curve: n = 10^6 on expander(8), sampled(8), delay=half at
+  #    sim_threads 1/2/4/8 — only meaningful on multicore hardware, so read
+  #    host.num_cpus before judging it;
+  #  - frontier: n = 10^7, horizon 1, 1200 s and 65,536 MB peak RSS.
+  # wall_s times the whole child, grid load and validation included;
+  # peak_rss_mb is the child's maxrss (scenrun's floor is ~18 MB).
+  LABEL="$LABEL" BUILD_DIR="$BUILD_DIR" SMOKE="$SMOKE" python3 - <<'EOF'
+import datetime, hashlib, json, os, re, statistics, subprocess, sys, tempfile, time
 
-  # Thread-scaling curve for the lookahead-windowed parallel engine: the same
-  # million-node sampled-expander cell at 1/2/4/8 worker threads, delay=half
-  # (the registry's positive-min_delay policy, which is what gives the engine
-  # its window). Every cell's metrics are bit-identical to the sequential row;
-  # only wall time may move. NOTE the curve is only meaningful on multicore
-  # hardware — on a single-CPU container the parallel rows measure pure
-  # engine overhead (read host.num_cpus next to the point before judging it).
-  for T in 1 2 4 8; do
-    "$BUILD_DIR/bench_scale" --protocol auth --topology expander --expander-k 8 \
-      --mode sampled --sample 8 --n 1000000 --horizon 5 --delay half \
-      --sim-threads "$T" --json "$ROWS"
-  done
+build = os.environ["BUILD_DIR"]
+smoke = os.environ["SMOKE"] == "1"
+cache = open(os.path.join(build, "CMakeCache.txt")).read()
+if not re.search(r"^CMAKE_BUILD_TYPE:\w+=Release$", cache, re.M):
+    sys.exit(f"bench.sh: {build} is not a Release build; refusing to time it")
+scenrun = os.path.join(build, "scenrun")
+GRIDS = [  # (grid, wall budget s, peak-RSS budget MB); None = unenforced
+    ("sparse_fabric_grid.json", 120, None),
+    ("full_fanout_grid.json", None, None),
+    ("thread_curve_grid.json", None, None),
+    ("frontier_grid.json", 1200, 65536),
+]
+REPEATS = 3
+if smoke:
+    GRIDS, REPEATS = GRIDS[:1], 1
 
-  # The 10^7 frontier smoke cell: one order of magnitude past the million-node
-  # acceptance row, budget-enforced on both wall clock and peak RSS so a
-  # memory or runtime regression at the frontier fails the leg loudly.
-  "$BUILD_DIR/bench_scale" --protocol auth --topology expander --expander-k 8 \
-    --mode sampled --sample 8 --n 10000000 --horizon 1 --delay half \
-    --budget 1200 --rss-budget 65536 --json "$ROWS"
 
-  LABEL="$LABEL" ROWS="$ROWS" python3 - <<'EOF'
-import datetime, json, os
+def run_child(grid, cell, out):
+    """One fresh scenrun child: (wall s, peak RSS MB, stderr)."""
+    begin = time.perf_counter()
+    child = subprocess.Popen([scenrun, grid, "--cells", f"{cell}:{cell + 1}", "--json", out],
+                             stderr=subprocess.PIPE, text=True)
+    err = child.stderr.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - begin
+    child.returncode = os.waitstatus_to_exitcode(status)  # wait4 reaped it, not Popen
+    if child.returncode != 0:
+        sys.exit(f"bench.sh: {grid} cell {cell} exited {child.returncode}:\n{err}")
+    return wall, usage.ru_maxrss / 1024, err  # Linux reports KB
 
-rows = [json.loads(line) for line in open(os.environ["ROWS"]) if line.strip()]
-point = {
-    "label": os.environ["LABEL"] + "/scale",
-    "date": datetime.datetime.now().isoformat(),
-    "host": {"num_cpus": len(os.sched_getaffinity(0))},
-    "benchmarks": rows,
-}
 
-path = "BENCH_core.json"
-doc = {"tracks": "scripts/bench.sh hot-path trajectory", "history": []}
-if os.path.exists(path):
-    doc = json.load(open(path))
-doc["history"].append(point)
-json.dump(doc, open(path, "w"), indent=1)
-open(path, "a").write("\n")
-print(f"bench.sh: appended scale run '{point['label']}' to {path} "
-      f"({len(doc['history'])} point(s) in trajectory)")
+rows, breaches = [], []
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "cell.json")
+    for grid_name, wall_budget, rss_budget in GRIDS:
+        grid = os.path.join("examples/scenarios/scale", grid_name)
+        count = int(subprocess.check_output([scenrun, grid, "--count"], text=True))
+        for cell in range(count):
+            walls, rss, digests, engines = [], [], set(), set()
+            for _ in range(REPEATS):
+                wall, peak, err = run_child(grid, cell, out)
+                (record,) = json.load(open(out))
+                result = record["result"]
+                walls.append(wall)
+                rss.append(peak)
+                digests.add(hashlib.sha256(
+                    json.dumps(result, sort_keys=True).encode()).hexdigest()[:16])
+                threads = int(record["labels"].get("sim_threads", 1))
+                engines.add("fallback" if "falling back to the sequential engine" in err
+                            else "parallel" if threads > 1 else "sequential")
+            name = "/".join([f"scenrun/{grid_name.removesuffix('_grid.json')}"] +
+                            [f"{k}={v}" for k, v in record["labels"].items()])
+            if len(digests) != 1 or len(engines) != 1:
+                sys.exit(f"bench.sh: {name}: repeats disagree "
+                         f"(digests {sorted(digests)}, engines {sorted(engines)})")
+            spec = record["spec"]
+            rounds = result["max_pulses"] or int(spec["horizon"] / spec["period"])
+            row = {
+                "name": name, "n": spec["n"], "repeats": REPEATS,
+                "wall_s_median": round(statistics.median(walls), 3),
+                "wall_s_min": round(min(walls), 3),
+                "peak_rss_mb": round(max(rss), 1),
+                "events": result["events_dispatched"],
+                "messages": result["messages_sent"],
+                "msgs_per_round": round(result["messages_sent"] / max(rounds, 1), 1),
+                "max_skew": result["max_skew"], "local_skew": result["local_skew"],
+                "engine": engines.pop(), "digest": digests.pop(),
+            }
+            rows.append(row)
+            print(json.dumps(row), flush=True)
+            if wall_budget is not None and max(walls) > wall_budget:
+                breaches.append(f"{name} took {max(walls):.1f} s (budget {wall_budget} s)")
+            if rss_budget is not None and max(rss) > rss_budget:
+                breaches.append(f"{name} peaked at {max(rss):.0f} MB RSS "
+                                f"(budget {rss_budget} MB)")
+
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
+                            text=True).stdout.strip()
+    point = {
+        "label": os.environ["LABEL"] + "/scale",
+        "date": datetime.datetime.now().isoformat(),
+        "commit": commit or "unknown",
+        "build_type": "Release",
+        "host": {"num_cpus": len(os.sched_getaffinity(0))},
+        "method": f"{REPEATS} fresh scenrun children per cell; wall_s covers the whole "
+                  "child, grid load and validation included; peak_rss_mb is the "
+                  "child's maxrss from wait4",
+        "benchmarks": rows,
+    }
+    path = os.path.join(tmp, "point.json") if smoke else "BENCH_core.json"
+    doc = {"tracks": "scripts/bench.sh hot-path trajectory", "history": []}
+    if os.path.exists(path):
+        doc = json.load(open(path))
+    doc["history"].append(point)
+    json.dump(doc, open(path, "w"), indent=1)
+    open(path, "a").write("\n")
+
+for breach in breaches:
+    print(f"bench.sh: budget breach: {breach}", file=sys.stderr)
+if smoke and not breaches:
+    print("bench.sh: scale smoke OK (BENCH_core.json unchanged)")
+elif not smoke:
+    print(f"bench.sh: appended scale run '{point['label']}' to {path} "
+          f"({len(doc['history'])} point(s) in trajectory)")
+sys.exit(1 if breaches else 0)
 EOF
   exit 0
 fi

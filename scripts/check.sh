@@ -7,9 +7,11 @@
 #                         [--asan] [--tsan] [build-dir]
 #                         (default build-dir: build-check)
 #   --bench  additionally smoke-run the tracked perf benchmarks (1 iteration,
-#            via scripts/bench.sh --smoke) and bench_suite (bench_suite/run.sh
-#            --smoke), so the bench binaries cannot bit-rot against the
-#            library API; BENCH_core.json is not modified.
+#            via scripts/bench.sh --smoke), the scale runner (one repeat of
+#            the sparse_fabric grid, via scripts/bench.sh --scale --smoke)
+#            and bench_suite (bench_suite/run.sh --smoke), so the bench
+#            binaries and scripts cannot bit-rot against the library API;
+#            BENCH_core.json is not modified.
 #   --scen   additionally smoke-run the scenario-file driver: scenrun on every
 #            checked-in example grid, then re-run each grid sharded in two
 #            halves (--cells) and verify scenmerge reassembles dumps
@@ -28,11 +30,12 @@
 #   --scale  additionally smoke-run the million-node machinery at CI-sized
 #            scale: the n=65536 ring grid (examples/scenarios/scale/) under a
 #            hard wall-clock budget, the same grid sharded across scenlaunch
-#            workers diffed byte-identical against the unsharded run, a
-#            bench_scale ring cell with its per-cell budget enforced, the
+#            workers diffed byte-identical against the unsharded run, the
 #            n=65536 expander auth grid (neighbors + sampled fan-out,
-#            sharded + byte-diffed), and the sparse-fabric acceptance cell
-#            (auth n=1e5, expander k=16, sampled m=8, 120 s budget).
+#            sharded + byte-diffed), the sparse-fabric acceptance cell
+#            (auth n=1e5, expander k=16, sampled m=8, 120 s budget), and the
+#            same cell with delay=half on the parallel engine at
+#            sim_threads=8 (240 s budget, no sequential fallback).
 #   --asan   additionally build the tree under ASan+UBSan (its own build
 #            directory, <build-dir>-asan) and run the tier-1 ctest suite in
 #            it; any sanitizer report fails the gate.
@@ -56,7 +59,7 @@ RUN_TSAN=0
 BUILD_DIR="build-check"
 for arg in "$@"; do
   case "$arg" in
-    -h|--help) sed -n 's/^# \{0,1\}//p' "$0" | sed -n '2,46p'; exit 0 ;;
+    -h|--help) sed -n '2,/^[^#]/{/^#/s/^# \{0,1\}//p}' "$0"; exit 0 ;;
     --bench) RUN_BENCH=1 ;;
     --scen) RUN_SCEN=1 ;;
     --store) RUN_STORE=1 ;;
@@ -75,6 +78,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 if [[ "$RUN_BENCH" -eq 1 ]]; then
   scripts/bench.sh --smoke "$BUILD_DIR-bench"
+  scripts/bench.sh --scale --smoke "$BUILD_DIR-bench"
   bash bench_suite/run.sh --smoke
 fi
 
@@ -224,11 +228,6 @@ if [[ "$RUN_SCALE" -eq 1 ]]; then
   diff "$SCALE_TMP/full.csv" "$SCALE_TMP/launched.csv"
   echo "check.sh: scale smoke OK: n=65536 grid in budget, shards byte-identical"
 
-  # One bench_scale ring cell with the per-cell budget enforced end-to-end.
-  "$BUILD_DIR/bench_scale" --n 65536 --horizon 2 --budget 120 \
-    || { echo "check.sh: bench_scale n=65536 blew its 120 s budget" >&2; exit 1; }
-  echo "check.sh: scale smoke OK: bench_scale n=65536 in budget"
-
   # The sparse broadcast fabric at scale: the n=65536 auth grid on an
   # expander (neighbors + sampled fan-out) in budget, and sharded across
   # scenlaunch workers byte-identical — the sampled-mode RNG stream derives
@@ -244,21 +243,32 @@ if [[ "$RUN_SCALE" -eq 1 ]]; then
   echo "check.sh: scale smoke OK: expander auth grid in budget, shards byte-identical"
 
   # The sparse-fabric acceptance cell: auth at n=10^5 on expander(k=16) with
-  # sampled fan-out, per-cell wall budget enforced by bench_scale itself.
-  "$BUILD_DIR/bench_scale" --protocol auth --topology expander --expander-k 16 \
-    --mode sampled --sample 8 --n 100000 --horizon 5 --budget 120 \
-    || { echo "check.sh: sampled expander auth n=1e5 blew its 120 s budget" >&2; exit 1; }
+  # sampled fan-out (cell 2 of the scale grid), under a 120 s budget.
+  timeout 120 "$BUILD_DIR/scenrun" examples/scenarios/scale/sparse_fabric_grid.json \
+    --cells 2:3 --csv /dev/null \
+    || { echo "check.sh: sampled expander auth n=1e5 failed or blew its 120 s budget" >&2; exit 1; }
   echo "check.sh: scale smoke OK: auth n=1e5 sampled expander in budget"
 
-  # The parallel engine at scale: the same acceptance cell at sim_threads=8
-  # with delay=half (the positive-min_delay policy that gives the engine its
-  # window). bench_scale prints the committed-window count; the test suite
-  # already pins bit-identity, so this cell guards "the parallel path still
-  # RUNS at n=1e5 under a budget" end to end.
-  "$BUILD_DIR/bench_scale" --protocol auth --topology expander --expander-k 16 \
-    --mode sampled --sample 8 --n 100000 --horizon 5 --delay half \
-    --sim-threads 8 --budget 240 \
-    || { echo "check.sh: parallel (sim_threads=8) n=1e5 cell failed its budget" >&2; exit 1; }
+  # The parallel engine at scale: the same cell at sim_threads=8 with
+  # delay=half (the positive-min_delay policy that gives the engine its
+  # window). The test suite pins bit-identity; this cell guards "the
+  # parallel path still RUNS at n=1e5 under a budget" end to end, so a
+  # fallback to the sequential engine fails it.
+  cat > "$SCALE_TMP/parallel.json" <<'JSON'
+{"base": {"protocol": "auth", "n": 100000, "f": 0, "rho": 0.0001, "tdel": 0.01,
+          "period": 1.0, "initial_sync": 0.005, "seed": 1, "horizon": 5.0,
+          "delay": "half", "topology": "expander", "topology_seed": 1,
+          "expander_k": 16, "broadcast_mode": "sampled", "sample_size": 8,
+          "sim_threads": 8}}
+JSON
+  timeout 240 "$BUILD_DIR/scenrun" "$SCALE_TMP/parallel.json" --csv /dev/null \
+    2> "$SCALE_TMP/parallel.err" \
+    || { echo "check.sh: parallel (sim_threads=8) n=1e5 cell failed its 240 s budget" >&2; \
+         cat "$SCALE_TMP/parallel.err" >&2; exit 1; }
+  if grep -q "falling back to the sequential engine" "$SCALE_TMP/parallel.err"; then
+    echo "check.sh: sim_threads=8 n=1e5 cell fell back to the sequential engine:" >&2
+    cat "$SCALE_TMP/parallel.err" >&2; exit 1
+  fi
   echo "check.sh: scale smoke OK: sim_threads=8 n=1e5 sampled expander in budget"
 fi
 

@@ -8,23 +8,6 @@
 
 namespace stclock {
 
-const char* attack_name(AttackKind kind) {
-  switch (kind) {
-    case AttackKind::kNone: return "none";
-    case AttackKind::kCrash: return "crash";
-    case AttackKind::kSpamEarly: return "spam-early";
-    case AttackKind::kEquivocate: return "equivocate";
-    case AttackKind::kReplay: return "replay";
-    case AttackKind::kForge: return "forge";
-    case AttackKind::kCnvPull: return "cnv-pull";
-    case AttackKind::kLwPull: return "lw-pull";
-    case AttackKind::kLeaderLie: return "leader-lie";
-    case AttackKind::kHssdEarly: return "hssd-early";
-    case AttackKind::kSleeper: return "sleeper";
-  }
-  return "unknown";
-}
-
 namespace {
 
 std::vector<NodeId> corrupt_ids(const AdversaryContext& ctx) {

@@ -38,7 +38,18 @@ enum class AttackKind {
                 ///< property of clean starts)
 };
 
-[[nodiscard]] const char* attack_name(AttackKind kind);
+inline constexpr EnumName<AttackKind> kAttackNames[] = {
+    {"none", AttackKind::kNone},           {"crash", AttackKind::kCrash},
+    {"spam-early", AttackKind::kSpamEarly}, {"equivocate", AttackKind::kEquivocate},
+    {"replay", AttackKind::kReplay},       {"forge", AttackKind::kForge},
+    {"cnv-pull", AttackKind::kCnvPull},    {"lw-pull", AttackKind::kLwPull},
+    {"leader-lie", AttackKind::kLeaderLie}, {"hssd-early", AttackKind::kHssdEarly},
+    {"sleeper", AttackKind::kSleeper},
+};
+
+[[nodiscard]] inline const char* attack_name(AttackKind kind) {
+  return enum_name(kAttackNames, kind);
+}
 
 struct AttackParams {
   /// Highest round the attack pre-computes messages for (>= horizon / P).

@@ -20,6 +20,10 @@ enum class AdjustMode {
   kAmortized,  ///< correction spread over a window (the standard smoothing)
 };
 
+inline constexpr EnumName<AdjustMode> kAdjustModeNames[] = {
+    {"instant", AdjustMode::kInstant}, {"amortized", AdjustMode::kAmortized},
+};
+
 struct SyncConfig {
   std::uint32_t n = 4;  ///< number of processes
   std::uint32_t f = 1;  ///< Byzantine faults to tolerate

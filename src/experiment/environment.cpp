@@ -8,29 +8,6 @@
 
 namespace stclock {
 
-const char* drift_name(DriftKind kind) {
-  switch (kind) {
-    case DriftKind::kNone: return "none";
-    case DriftKind::kRandomConstant: return "rand-const";
-    case DriftKind::kRandomWalk: return "rand-walk";
-    case DriftKind::kExtremal: return "extremal";
-  }
-  return "unknown";
-}
-
-const char* delay_name(DelayKind kind) {
-  switch (kind) {
-    case DelayKind::kZero: return "zero";
-    case DelayKind::kHalf: return "half";
-    case DelayKind::kMax: return "max";
-    case DelayKind::kUniform: return "uniform";
-    case DelayKind::kSplit: return "split";
-    case DelayKind::kAlternating: return "alternating";
-    case DelayKind::kPerLink: return "per-link";
-  }
-  return "unknown";
-}
-
 namespace experiment {
 
 std::vector<HardwareClock> build_clock_fleet(DriftKind kind, std::uint32_t n, double rho,

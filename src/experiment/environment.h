@@ -36,8 +36,24 @@ enum class DelayKind {
   kPerLink,      ///< each directed link gets its own stable hashed latency
 };
 
-[[nodiscard]] const char* drift_name(DriftKind kind);
-[[nodiscard]] const char* delay_name(DelayKind kind);
+inline constexpr EnumName<DriftKind> kDriftNames[] = {
+    {"none", DriftKind::kNone},           {"rand-const", DriftKind::kRandomConstant},
+    {"rand-walk", DriftKind::kRandomWalk}, {"extremal", DriftKind::kExtremal},
+};
+
+inline constexpr EnumName<DelayKind> kDelayNames[] = {
+    {"zero", DelayKind::kZero},           {"half", DelayKind::kHalf},
+    {"max", DelayKind::kMax},             {"uniform", DelayKind::kUniform},
+    {"split", DelayKind::kSplit},         {"alternating", DelayKind::kAlternating},
+    {"per-link", DelayKind::kPerLink},
+};
+
+[[nodiscard]] inline const char* drift_name(DriftKind kind) {
+  return enum_name(kDriftNames, kind);
+}
+[[nodiscard]] inline const char* delay_name(DelayKind kind) {
+  return enum_name(kDelayNames, kind);
+}
 
 namespace experiment {
 

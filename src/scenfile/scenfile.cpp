@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <span>
 #include <sstream>
 
 #include "experiment/registry.h"
@@ -84,8 +86,8 @@ double as_non_negative(const JsonValue& v, const std::string& source,
 
 // --- Enum names --------------------------------------------------------------
 
-template <typename Enum>
-Enum enum_from_name(const JsonValue& v, const std::vector<std::pair<const char*, Enum>>& table,
+template <typename Enum, std::size_t N>
+Enum enum_from_name(const JsonValue& v, std::span<const EnumName<Enum>, N> table,
                     const char* what, const std::string& source, const std::string& path) {
   const std::string& name = as_string(v, source, path);
   std::string known;
@@ -97,63 +99,10 @@ Enum enum_from_name(const JsonValue& v, const std::vector<std::pair<const char*,
           std::string("unknown ") + what + " \"" + name + "\" (known: " + known + ")");
 }
 
-const std::vector<std::pair<const char*, DriftKind>>& drift_table() {
-  static const std::vector<std::pair<const char*, DriftKind>> table = {
-      {"none", DriftKind::kNone},
-      {"rand-const", DriftKind::kRandomConstant},
-      {"rand-walk", DriftKind::kRandomWalk},
-      {"extremal", DriftKind::kExtremal},
-  };
-  return table;
-}
-
-const std::vector<std::pair<const char*, DelayKind>>& delay_table() {
-  static const std::vector<std::pair<const char*, DelayKind>> table = {
-      {"zero", DelayKind::kZero},           {"half", DelayKind::kHalf},
-      {"max", DelayKind::kMax},             {"uniform", DelayKind::kUniform},
-      {"split", DelayKind::kSplit},         {"alternating", DelayKind::kAlternating},
-      {"per-link", DelayKind::kPerLink},
-  };
-  return table;
-}
-
-const std::vector<std::pair<const char*, AttackKind>>& attack_table() {
-  static const std::vector<std::pair<const char*, AttackKind>> table = {
-      {"none", AttackKind::kNone},           {"crash", AttackKind::kCrash},
-      {"spam-early", AttackKind::kSpamEarly}, {"equivocate", AttackKind::kEquivocate},
-      {"replay", AttackKind::kReplay},       {"forge", AttackKind::kForge},
-      {"cnv-pull", AttackKind::kCnvPull},    {"lw-pull", AttackKind::kLwPull},
-      {"leader-lie", AttackKind::kLeaderLie}, {"hssd-early", AttackKind::kHssdEarly},
-      {"sleeper", AttackKind::kSleeper},
-  };
-  return table;
-}
-
-const std::vector<std::pair<const char*, TopologyKind>>& topology_table() {
-  static const std::vector<std::pair<const char*, TopologyKind>> table = {
-      {"complete", TopologyKind::kComplete}, {"ring", TopologyKind::kRing},
-      {"torus", TopologyKind::kTorus},       {"star", TopologyKind::kStar},
-      {"gnp", TopologyKind::kGnp},           {"expander", TopologyKind::kExpander},
-  };
-  return table;
-}
-
-const std::vector<std::pair<const char*, BroadcastMode>>& broadcast_mode_table() {
-  static const std::vector<std::pair<const char*, BroadcastMode>> table = {
-      {"full", BroadcastMode::kFull},
-      {"neighbors", BroadcastMode::kNeighbors},
-      {"sampled", BroadcastMode::kSampled},
-  };
-  return table;
-}
-
-const std::vector<std::pair<const char*, AdjustMode>>& adjust_table() {
-  static const std::vector<std::pair<const char*, AdjustMode>> table = {
-      {"instant", AdjustMode::kInstant},
-      {"amortized", AdjustMode::kAmortized},
-  };
-  return table;
-}
+/// Scenario files accept every topology kind but kCustom, the table's last.
+static_assert(std::end(kTopologyKindNames)[-1].value == TopologyKind::kCustom);
+constexpr auto kFileTopologyKinds =
+    std::span(kTopologyKindNames).first<std::size(kTopologyKindNames) - 1>();
 
 // --- Topology events ---------------------------------------------------------
 
@@ -183,7 +132,7 @@ experiment::TopologyEventSpec event_from_json(const JsonValue& v, const std::str
     action = &value;
     if (key == "set") {
       event.kind = Kind::kSetGraph;
-      event.set = enum_from_name(value, topology_table(), "topology kind", source,
+      event.set = enum_from_name(value, kFileTopologyKinds, "topology kind", source,
                                  path + ".set");
     } else {
       event.kind = key == "add" ? Kind::kAddEdge : Kind::kRemoveEdge;
@@ -309,7 +258,7 @@ bool apply_field(ScenarioSpec& spec, const std::string& field, const JsonValue& 
   } else if (field == "allow_unsynchronized_start") {
     spec.cfg.allow_unsynchronized_start = as_bool(v, source, path);
   } else if (field == "adjust") {
-    spec.cfg.adjust = enum_from_name(v, adjust_table(), "adjust mode", source, path);
+    spec.cfg.adjust = enum_from_name(v, std::span(kAdjustModeNames), "adjust mode", source, path);
   } else if (field == "amortize_window") {
     spec.cfg.amortize_window = as_non_negative(v, source, path);
   } else if (field == "delta") {
@@ -319,13 +268,13 @@ bool apply_field(ScenarioSpec& spec, const std::string& field, const JsonValue& 
   } else if (field == "horizon") {
     spec.horizon = as_positive(v, source, path);
   } else if (field == "drift") {
-    spec.drift = enum_from_name(v, drift_table(), "drift kind", source, path);
+    spec.drift = enum_from_name(v, std::span(kDriftNames), "drift kind", source, path);
   } else if (field == "delay") {
-    spec.delay = enum_from_name(v, delay_table(), "delay kind", source, path);
+    spec.delay = enum_from_name(v, std::span(kDelayNames), "delay kind", source, path);
   } else if (field == "attack") {
-    spec.attack = enum_from_name(v, attack_table(), "attack kind", source, path);
+    spec.attack = enum_from_name(v, std::span(kAttackNames), "attack kind", source, path);
   } else if (field == "topology") {
-    spec.topology = enum_from_name(v, topology_table(), "topology kind", source, path);
+    spec.topology = enum_from_name(v, kFileTopologyKinds, "topology kind", source, path);
   } else if (field == "gnp_p") {
     spec.gnp_p = as_double(v, source, path);
     if (!(spec.gnp_p > 0 && spec.gnp_p <= 1)) {
@@ -341,7 +290,7 @@ bool apply_field(ScenarioSpec& spec, const std::string& field, const JsonValue& 
     }
   } else if (field == "broadcast_mode") {
     spec.broadcast_mode =
-        enum_from_name(v, broadcast_mode_table(), "broadcast mode", source, path);
+        enum_from_name(v, std::span(kBroadcastModeNames), "broadcast mode", source, path);
   } else if (field == "sample_size") {
     spec.sample_size = as_u32(v, source, path);
   } else if (field == "topology_events") {
@@ -524,7 +473,7 @@ std::string spec_to_json(const ScenarioSpec& spec) {
   num("initial_sync", fmt_double(spec.cfg.initial_sync));
   os << "  \"allow_unsynchronized_start\": "
      << (spec.cfg.allow_unsynchronized_start ? "true" : "false") << ",\n";
-  str("adjust", spec.cfg.adjust == AdjustMode::kInstant ? "instant" : "amortized");
+  str("adjust", enum_name(kAdjustModeNames, spec.cfg.adjust));
   num("amortize_window", fmt_double(spec.cfg.amortize_window));
   num("delta", fmt_double(spec.delta));
   num("seed", std::to_string(spec.seed));

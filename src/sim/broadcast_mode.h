@@ -2,6 +2,8 @@
 
 #include <cstdint>
 
+#include "util/types.h"
+
 /// How a broadcast fans out over the fleet.
 ///
 /// The paper's protocols assume every broadcast reaches all n - 1 peers, so
@@ -30,13 +32,14 @@ enum class BroadcastMode : std::uint8_t {
   kSampled,    ///< sample_size seeded-random peers per broadcast
 };
 
+inline constexpr EnumName<BroadcastMode> kBroadcastModeNames[] = {
+    {"full", BroadcastMode::kFull},
+    {"neighbors", BroadcastMode::kNeighbors},
+    {"sampled", BroadcastMode::kSampled},
+};
+
 [[nodiscard]] inline const char* broadcast_mode_name(BroadcastMode mode) {
-  switch (mode) {
-    case BroadcastMode::kFull: return "full";
-    case BroadcastMode::kNeighbors: return "neighbors";
-    case BroadcastMode::kSampled: return "sampled";
-  }
-  return "unknown";
+  return enum_name(kBroadcastModeNames, mode);
 }
 
 }  // namespace stclock

@@ -8,19 +8,6 @@
 
 namespace stclock {
 
-const char* topology_kind_name(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kComplete: return "complete";
-    case TopologyKind::kRing: return "ring";
-    case TopologyKind::kTorus: return "torus";
-    case TopologyKind::kStar: return "star";
-    case TopologyKind::kGnp: return "gnp";
-    case TopologyKind::kExpander: return "expander";
-    case TopologyKind::kCustom: return "custom";
-  }
-  return "unknown";
-}
-
 Topology::Topology(TopologyKind kind, std::uint32_t n) : kind_(kind), n_(n) {
   ST_REQUIRE(n > 0, "Topology: need at least one node");
 }

@@ -44,7 +44,18 @@ enum class TopologyKind : std::uint8_t {
   kCustom,    ///< arbitrary edge list (from_edges); not a scenario-file kind
 };
 
-[[nodiscard]] const char* topology_kind_name(TopologyKind kind);
+/// Every kind's spelling. Scenario files accept all but the last: kCustom
+/// is printable (Topology::name) but only code builds one.
+inline constexpr EnumName<TopologyKind> kTopologyKindNames[] = {
+    {"complete", TopologyKind::kComplete}, {"ring", TopologyKind::kRing},
+    {"torus", TopologyKind::kTorus},       {"star", TopologyKind::kStar},
+    {"gnp", TopologyKind::kGnp},           {"expander", TopologyKind::kExpander},
+    {"custom", TopologyKind::kCustom},
+};
+
+[[nodiscard]] inline const char* topology_kind_name(TopologyKind kind) {
+  return enum_name(kTopologyKindNames, kind);
+}
 
 /// A lazily-iterated, sorted-ascending view of one node's neighbors. Backed
 /// either by a CSR row (pointer range) or, for the complete family, by the

@@ -26,10 +26,8 @@ void EnvelopeTracker::sample(const Simulator& sim) {
   last_sample_ = t;
 
   if (streaming_) {
-    const std::uint32_t pool_n = std::min(sim.n(), kStreamPoolMaxN);
-    if (sums_.empty()) sums_.resize(pool_n);
+    if (sums_.empty()) sums_.resize(sim.n());
     for (NodeId id : sim.honest_ids()) {
-      if (id >= pool_n) break;  // honest_ids is ascending; pooled prefix only
       if (!sim.observe_started(id)) continue;
       const double c = sim.observe_logical(id, t);
       NodeSums& s = sums_[id];

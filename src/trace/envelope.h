@@ -33,21 +33,11 @@
 ///    bit-identical to its centered two-pass arithmetic, which is why the
 ///    runner engages streaming only above the scale threshold.
 ///
-/// Past n = kStreamPoolMaxN even the O(n) streaming sums get heavy (64
-/// bytes/node = 640 MB at 10^7), so streaming mode pools: only nodes with
-/// id < the cap carry sums, and the reported min/max rate and offsets are
-/// measured over that deterministic prefix of the fleet. Runs at or below
-/// the cap — everything up to and including n = 10^6 — are bit-identical to
-/// the unpooled tracker.
+/// Both modes cover every honest node at every n (streaming: 64 bytes/node).
 namespace stclock {
 
 class EnvelopeTracker {
  public:
-  /// Fleet size past which streaming sums pool to the id < cap prefix
-  /// (2^20, comfortably above n = 10^6). Series mode never pools — the
-  /// runner only uses it below the scale threshold.
-  static constexpr std::uint32_t kStreamPoolMaxN = 1u << 20;
-
   explicit EnvelopeTracker(Duration sample_interval = 0.1);
 
   /// Switches to streaming mode (before the first sample). The later

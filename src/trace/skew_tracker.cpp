@@ -29,9 +29,8 @@ void SkewTracker::sample(const Simulator& sim) {
   const bool sparse = !topology->is_complete();
   const std::uint64_t prev_gen = cur_gen_;
   if (sparse) {
-    pool_n_ = std::min(sim.n(), kLocalSkewPoolMaxN);
-    values_.resize(pool_n_);
-    gen_.resize(pool_n_, 0);
+    values_.resize(sim.n());
+    gen_.resize(sim.n(), 0);
     ++cur_gen_;
   }
 
@@ -47,7 +46,7 @@ void SkewTracker::sample(const Simulator& sim) {
     if (!sim.observe_started(id)) continue;
     if (include_ ? !include_(id) : !sim.observe_include(id)) continue;
     const double c = sim.observe_logical(id, t);
-    if (sparse && id < pool_n_) {
+    if (sparse) {
       if (gen_[id] != prev_gen) {
         set_grew = true;
       } else if (values_[id] != c) {
@@ -102,12 +101,11 @@ void SkewTracker::sample(const Simulator& sim) {
     } else {
       local = 0;
       for (NodeId a : sim.honest_ids()) {
-        if (a >= pool_n_) break;  // honest_ids is ascending; pooled prefix only
         if (gen_[a] != cur_gen_) continue;
         const auto [nbrs, degree] = topology->neighbor_span(a);
         for (std::size_t i = 0; i < degree; ++i) {
           const NodeId b = nbrs[i];
-          if (b > a && b < pool_n_ && gen_[b] == cur_gen_) {
+          if (b > a && gen_[b] == cur_gen_) {
             local = std::max(local, std::abs(values_[a] - values_[b]));
           }
         }

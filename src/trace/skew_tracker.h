@@ -29,23 +29,12 @@
 /// with a generation counter (no O(n) re-zeroing per sample), and the O(E)
 /// adjacent-pair rescan is skipped entirely — reusing the previous result
 /// bit-for-bit — when the sampled set, every sampled value, and the live
-/// graph are all unchanged since the last sample.
-///
-/// Past n = kLocalSkewPoolMaxN the per-node scratch itself would be the
-/// problem (16 bytes/node = 160 MB per tracker at 10^7), so the local-skew
-/// measurement pools: only nodes with id < kLocalSkewPoolMaxN carry scratch,
-/// and local skew is measured over the subgraph induced on that prefix — a
-/// deterministic sample of the fleet's adjacent pairs. The global spread
-/// still scans every node (no storage needed). Every run at or below the
-/// cap — including the whole golden suite and the n = 10^6 benches — is
-/// bit-identical to the unpooled tracker.
+/// graph are all unchanged since the last sample. Every node carries its
+/// 16 bytes of scratch at every n, so local skew covers every adjacent pair.
 namespace stclock {
 
 class SkewTracker {
  public:
-  /// Fleet size past which local skew pools to the id < cap prefix (2^20,
-  /// comfortably above n = 10^6).
-  static constexpr std::uint32_t kLocalSkewPoolMaxN = 1u << 20;
   /// `include` filters which nodes count (e.g. to exclude a joiner until it
   /// has integrated); null means "all honest started nodes".
   explicit SkewTracker(Duration series_interval = 0.05,
@@ -119,14 +108,12 @@ class SkewTracker {
   RealTime last_series_sample_ = -1;
   std::vector<std::pair<RealTime, double>> series_;
 
-  /// Per-node sample scratch for the sparse local-skew pass, sized
-  /// min(n, kLocalSkewPoolMaxN). A slot holds a current value iff
-  /// gen_[id] == cur_gen_ — bumping cur_gen_ invalidates the whole array in
-  /// O(1), replacing the old per-sample O(n) assign.
+  /// Per-node sample scratch for the sparse local-skew pass, sized n. A slot
+  /// holds a current value iff gen_[id] == cur_gen_ — bumping cur_gen_
+  /// invalidates the whole array in O(1), replacing the old per-sample O(n)
+  /// assign.
   std::vector<double> values_;
   std::vector<std::uint64_t> gen_;
-  /// Nodes carrying scratch: ids < pool_n_ (n, unless pooled).
-  std::uint32_t pool_n_ = 0;
   std::uint64_t cur_gen_ = 0;
   /// Rescan-skip cache: the previous sample's per-sample local skew is
   /// reused verbatim when the graph, the sampled set, and every sampled

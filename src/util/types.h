@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -45,6 +46,25 @@ inline constexpr RealTime kTimeInfinity = std::numeric_limits<double>::infinity(
 /// (init/echo) algorithm: f <= ceil(n/3) - 1, i.e. n >= 3f + 1.
 [[nodiscard]] constexpr std::uint32_t max_faults_echo(std::uint32_t n) {
   return ceil_div(n, 3) - 1;
+}
+
+/// One row of an enum's name table. Each scenario-facing enum (drift,
+/// delay, attack, topology, broadcast mode, adjust mode) declares one
+/// `{name, value}` table beside itself; its printer, the sinks, spec_to_json
+/// and the scenario-file parser all read it, so a spelling lives in one place.
+template <typename Enum>
+struct EnumName {
+  const char* name;
+  Enum value;
+};
+
+/// The spelling of `value` in `table` ("unknown" if the table lacks it).
+template <typename Enum, std::size_t N>
+[[nodiscard]] constexpr const char* enum_name(const EnumName<Enum> (&table)[N], Enum value) {
+  for (const EnumName<Enum>& entry : table) {
+    if (entry.value == value) return entry.name;
+  }
+  return "unknown";
 }
 
 }  // namespace stclock

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "experiment/sinks.h"
@@ -216,6 +219,73 @@ TEST(ScenfileSpec, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(back.envelope_interval, spec.envelope_interval);
 }
 
+/// Checks one enum's name table against its printer and the scenario-file
+/// parser: the table lists every enumerator in declaration order (ending at
+/// `last`), names are unique, the printer reads the table, every printed
+/// name round-trips through a one-field spec except `unparseable` (which is
+/// rejected), and the "unknown" error lists exactly the parseable names.
+template <typename Enum, std::size_t N, typename Print, typename Field>
+void expect_names_round_trip(const char* field, const EnumName<Enum> (&table)[N], Enum last,
+                             Print print, Field get,
+                             std::optional<std::type_identity_t<Enum>> unparseable = {}) {
+  SCOPED_TRACE(field);
+  EXPECT_EQ(table[N - 1].value, last);
+  std::set<std::string> names;
+  std::string known;
+  for (std::size_t i = 0; i < N; ++i) {
+    const Enum value = static_cast<Enum>(i);
+    EXPECT_EQ(table[i].value, value);
+    EXPECT_STREQ(print(value), table[i].name);
+    names.insert(print(value));
+    const std::string one_field = std::string("{\"") + field + "\": \"" + print(value) + "\"}";
+    if (unparseable == value) {
+      EXPECT_THROW((void)parse_spec(one_field), ScenarioFileError) << print(value);
+      continue;
+    }
+    EXPECT_EQ(get(parse_spec(one_field)), value) << print(value);
+    known += known.empty() ? print(value) : std::string(", ") + print(value);
+  }
+  EXPECT_EQ(names.size(), N) << "duplicate name";
+
+  try {
+    (void)parse_spec(std::string("{\"") + field + "\": \"bogus\"}");
+    ADD_FAILURE() << "expected ScenarioFileError";
+  } catch (const ScenarioFileError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"bogus\" (known: " + known + ")"), std::string::npos) << what;
+  }
+}
+
+TEST(ScenfileSpec, EveryEnumNameRoundTripsThroughItsOneTable) {
+  expect_names_round_trip("drift", kDriftNames, DriftKind::kExtremal, drift_name,
+                          [](const ScenarioSpec& s) { return s.drift; });
+  expect_names_round_trip("delay", kDelayNames, DelayKind::kPerLink, delay_name,
+                          [](const ScenarioSpec& s) { return s.delay; });
+  expect_names_round_trip("attack", kAttackNames, AttackKind::kSleeper, attack_name,
+                          [](const ScenarioSpec& s) { return s.attack; });
+  // custom stays printable, but no scenario file may name it.
+  expect_names_round_trip("topology", kTopologyKindNames, TopologyKind::kCustom,
+                          topology_kind_name, [](const ScenarioSpec& s) { return s.topology; },
+                          TopologyKind::kCustom);
+  expect_names_round_trip("broadcast_mode", kBroadcastModeNames, BroadcastMode::kSampled,
+                          broadcast_mode_name,
+                          [](const ScenarioSpec& s) { return s.broadcast_mode; });
+  // adjust has no printer of its own: spec_to_json reads the table.
+  const auto adjust_name = [](AdjustMode mode) {
+    ScenarioSpec spec;
+    spec.cfg.adjust = mode;
+    const std::string json = spec_to_json(spec);
+    for (const auto& [name, value] : kAdjustModeNames) {
+      if (json.find(std::string("\"adjust\": \"") + name + "\"") != std::string::npos) {
+        return name;
+      }
+    }
+    return "missing";
+  };
+  expect_names_round_trip("adjust", kAdjustModeNames, AdjustMode::kAmortized, adjust_name,
+                          [](const ScenarioSpec& s) { return s.cfg.adjust; });
+}
+
 TEST(ScenfileCellRange, ParsesHalfOpenGlobalRanges) {
   EXPECT_EQ(parse_cell_range("0:4", 8), (std::pair<std::size_t, std::size_t>{0, 4}));
   EXPECT_EQ(parse_cell_range("4:8", 8), (std::pair<std::size_t, std::size_t>{4, 8}));
@@ -249,6 +319,46 @@ TEST(ScenfileExamples, CheckedInGridsLoadAndDescribeTheNewWorkloads) {
   ASSERT_EQ(topo.size(), 8u);
   EXPECT_EQ(topo.front().spec.topology, TopologyKind::kComplete);
   EXPECT_EQ(topo.back().spec.topology, TopologyKind::kGnp);
+
+  // The scale grids: auth, f = 0, seed 1, topology_seed 1, no attack. Only
+  // the two sub-10^6 grids load here — load-time validation of
+  // thread_curve_grid.json and frontier_grid.json builds their 10^6- and
+  // 10^7-node graphs.
+  const auto expect_scale_base = [](const ScenarioSpec& spec) {
+    EXPECT_EQ(spec.protocol, "auth");
+    EXPECT_EQ(spec.cfg.f, 0u);
+    EXPECT_EQ(spec.cfg.rho, 1e-4);
+    EXPECT_EQ(spec.cfg.tdel, 0.01);
+    EXPECT_EQ(spec.cfg.period, 1.0);
+    EXPECT_EQ(spec.cfg.initial_sync, 0.005);
+    EXPECT_EQ(spec.seed, 1u);
+    EXPECT_EQ(spec.topology_seed, 1u);
+    EXPECT_EQ(spec.attack, AttackKind::kNone);
+    EXPECT_EQ(spec.drift, DriftKind::kRandomWalk);
+    EXPECT_EQ(spec.delay, DelayKind::kUniform);
+    EXPECT_EQ(spec.horizon, 5.0);
+    EXPECT_EQ(spec.sim_threads, 1u);
+  };
+  const std::vector<SweepCell> sparse =
+      load_grid_file(dir + "scale/sparse_fabric_grid.json").cells();
+  ASSERT_EQ(sparse.size(), 3u);
+  const std::uint32_t sparse_n[] = {1000, 4096, 100000};
+  for (std::size_t i = 0; i < sparse.size(); ++i) {
+    const ScenarioSpec& spec = sparse[i].spec;
+    expect_scale_base(spec);
+    EXPECT_EQ(spec.cfg.n, sparse_n[i]);
+    EXPECT_EQ(spec.topology, TopologyKind::kExpander);
+    EXPECT_EQ(spec.expander_k, 16u);
+    EXPECT_EQ(spec.broadcast_mode, BroadcastMode::kSampled);
+    EXPECT_EQ(spec.sample_size, 8u);
+  }
+  const std::vector<SweepCell> full =
+      load_grid_file(dir + "scale/full_fanout_grid.json").cells();
+  ASSERT_EQ(full.size(), 1u);
+  expect_scale_base(full[0].spec);
+  EXPECT_EQ(full[0].spec.cfg.n, 1000u);
+  EXPECT_EQ(full[0].spec.topology, TopologyKind::kComplete);
+  EXPECT_EQ(full[0].spec.broadcast_mode, BroadcastMode::kFull);
 }
 
 TEST(ScenfileExamples, TopologyGridCellReportsLocalSkew) {
