@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "dense_fixtures.h"
 #include "experiment/registry.h"
 #include "experiment/sinks.h"
 #include "experiment/sweep.h"
@@ -202,6 +204,88 @@ TEST(Sinks, JsonContainsLabelsSpecAndResult) {
   EXPECT_NE(json.find("\"labels\": {\"protocol\": \"auth\"}"), std::string::npos);
   EXPECT_NE(json.find("\"max_skew\": "), std::string::npos);
   EXPECT_NE(json.find("\"seed\": 3"), std::string::npos);
+}
+
+/// Two fabricated cells, no scenario run: the dense spec and result under two
+/// axis labels (one array-valued, so CSV must quote it), and a default spec
+/// whose result is all defaults but an infinite skew (JSON must quote it).
+std::pair<std::vector<SweepCell>, std::vector<ScenarioResult>> fabricated_cells() {
+  ScenarioResult plain;
+  plain.protocol = "auth";
+  plain.max_skew = std::numeric_limits<double>::infinity();
+  return {{SweepCell{7, {{"n", "10"}, {"topology_events", R"([{"at":1}])"}}, dense::spec()},
+           SweepCell{9, {{"n", "4"}}, ScenarioSpec{}}},
+          {dense::result(), plain}};
+}
+
+TEST(Sinks, CsvBytesArePinned) {
+  const auto [cells, results] = fabricated_cells();
+  std::ostringstream os;
+  write_csv(os, cells, results);
+  EXPECT_EQ(os.str(),
+    "cell,n,topology_events,protocol,n,f,rho,tdel,period,delta,seed,horizon,drift,delay,"
+    "attack,topology,gnp_p,topology_seed,expander_k,broadcast_mode,sample_size,"
+    "topology_events,joiners,corrupt_override,corrupt_at,corrupt_fraction,corrupt_kinds,"
+    "churn_nodes,churn_leave,churn_rejoin,partition_group,partition_start,partition_end,"
+    "max_skew,steady_skew,local_skew,steady_local_skew,precision_bound,pulse_spread,"
+    "min_period,max_period,min_pulses,max_pulses,live,min_rate,max_rate,rate_fit_tolerance,"
+    "join_latency,joiners_integrated,rejoin_latency,churned_rejoined,topology_epochs,"
+    "corruption_events,nodes_corrupted,stabilized,stabilization_time,messages_sent,"
+    "bytes_sent,messages_dropped,events_dispatched,rounds_completed\n"
+    "7,10,\"[{\"\"at\"\":1}]\",echo,10,3,0.00125,0.012500000000000001,1.5,0.074999999999999997,"
+    "16045690984503098046,17.5,extremal,alternating,sleeper,gnp,0.8125,18369614218089748088,"
+    "12,sampled,5,3,2,1,[3.5;8.75],0.5,\"clocks,state\",1,3.125,9.875,4,2.75,5.5,0.0123,"
+    "0.0044999999999999997,0.0101,0.0040000000000000001,0.031,0.0080000000000000002,"
+    "0.94999999999999996,1.05,5,6,1,0.99985000000000002,1.0001500000000001,"
+    "0.00069999999999999999,1.25,1,2.5,1,3,2,13,1,3.75,1234,56789,17,99999,6\n"
+    "9,4,,auth,4,1,0.0001,0.01,1,0.050000000000000003,1,30,rand-walk,uniform,none,complete,"
+    "0.5,1,8,full,0,0,0,0,[],1,\"clocks,timers,buffers,state\",0,5,12,0,5,10,inf,0,0,0,0,0,0,0,"
+    "0,0,0,0,0,0,-1,0,-1,0,1,0,0,0,-1,0,0,0,0,0\n");
+}
+
+TEST(Sinks, JsonBytesArePinned) {
+  const auto [cells, results] = fabricated_cells();
+  std::ostringstream os;
+  write_json(os, cells, results);
+  EXPECT_EQ(os.str(),
+    "[\n"
+    "  {\"cell\": 7, \"labels\": {\"n\": \"10\", \"topology_events\": \"[{\\\"at\\\":1}]\"}, "
+    "\"spec\": {\"protocol\": \"echo\", \"n\": 10, \"f\": 3, \"rho\": 0.00125, "
+    "\"tdel\": 0.012500000000000001, \"period\": 1.5, \"delta\": 0.074999999999999997, "
+    "\"seed\": 16045690984503098046, \"horizon\": 17.5, \"drift\": \"extremal\", "
+    "\"delay\": \"alternating\", \"attack\": \"sleeper\", \"topology\": \"gnp\", \"gnp_p\": 0.8125, "
+    "\"topology_seed\": 18369614218089748088, \"expander_k\": 12, \"broadcast_mode\": \"sampled\", "
+    "\"sample_size\": 5, \"topology_events\": 3, \"joiners\": 2, \"corrupt_override\": 1, "
+    "\"corrupt_at\": \"[3.5;8.75]\", \"corrupt_fraction\": 0.5, \"corrupt_kinds\": \"clocks,state\", "
+    "\"churn_nodes\": 1, \"churn_leave\": 3.125, \"churn_rejoin\": 9.875, \"partition_group\": 4, "
+    "\"partition_start\": 2.75, \"partition_end\": 5.5}, \"result\": {\"max_skew\": 0.0123, "
+    "\"steady_skew\": 0.0044999999999999997, \"local_skew\": 0.0101, "
+    "\"steady_local_skew\": 0.0040000000000000001, \"precision_bound\": 0.031, "
+    "\"pulse_spread\": 0.0080000000000000002, \"min_period\": 0.94999999999999996, "
+    "\"max_period\": 1.05, \"min_pulses\": 5, \"max_pulses\": 6, \"live\": 1, "
+    "\"min_rate\": 0.99985000000000002, \"max_rate\": 1.0001500000000001, "
+    "\"rate_fit_tolerance\": 0.00069999999999999999, \"join_latency\": 1.25, "
+    "\"joiners_integrated\": 1, \"rejoin_latency\": 2.5, \"churned_rejoined\": 1, "
+    "\"topology_epochs\": 3, \"corruption_events\": 2, \"nodes_corrupted\": 13, \"stabilized\": 1, "
+    "\"stabilization_time\": 3.75, \"messages_sent\": 1234, \"bytes_sent\": 56789, "
+    "\"messages_dropped\": 17, \"events_dispatched\": 99999, \"rounds_completed\": 6}},\n"
+    "  {\"cell\": 9, \"labels\": {\"n\": \"4\"}, \"spec\": {\"protocol\": \"auth\", \"n\": 4, \"f\": 1, "
+    "\"rho\": 0.0001, \"tdel\": 0.01, \"period\": 1, \"delta\": 0.050000000000000003, \"seed\": 1, "
+    "\"horizon\": 30, \"drift\": \"rand-walk\", \"delay\": \"uniform\", \"attack\": \"none\", "
+    "\"topology\": \"complete\", \"gnp_p\": 0.5, \"topology_seed\": 1, \"expander_k\": 8, "
+    "\"broadcast_mode\": \"full\", \"sample_size\": 0, \"topology_events\": 0, \"joiners\": 0, "
+    "\"corrupt_override\": 0, \"corrupt_at\": \"[]\", \"corrupt_fraction\": 1, "
+    "\"corrupt_kinds\": \"clocks,timers,buffers,state\", \"churn_nodes\": 0, \"churn_leave\": 5, "
+    "\"churn_rejoin\": 12, \"partition_group\": 0, \"partition_start\": 5, \"partition_end\": 10}, "
+    "\"result\": {\"max_skew\": \"inf\", \"steady_skew\": 0, \"local_skew\": 0, "
+    "\"steady_local_skew\": 0, \"precision_bound\": 0, \"pulse_spread\": 0, \"min_period\": 0, "
+    "\"max_period\": 0, \"min_pulses\": 0, \"max_pulses\": 0, \"live\": 0, \"min_rate\": 0, "
+    "\"max_rate\": 0, \"rate_fit_tolerance\": 0, \"join_latency\": -1, \"joiners_integrated\": 0, "
+    "\"rejoin_latency\": -1, \"churned_rejoined\": 0, \"topology_epochs\": 1, "
+    "\"corruption_events\": 0, \"nodes_corrupted\": 0, \"stabilized\": 0, "
+    "\"stabilization_time\": -1, \"messages_sent\": 0, \"bytes_sent\": 0, \"messages_dropped\": 0, "
+    "\"events_dispatched\": 0, \"rounds_completed\": 0}}\n"
+    "]\n");
 }
 
 TEST(Engine, BaselineModeRejectsJoiners) {

@@ -12,12 +12,14 @@
 #include <thread>
 #include <vector>
 
+#include "dense_fixtures.h"
 #include "resultstore/cache_key.h"
 #include "resultstore/codec.h"
 #include "resultstore/incremental.h"
 #include "resultstore/store.h"
 
 #include "experiment/engine_info.h"
+#include "util/digest.h"
 
 /// The content-addressed result store: cache keys must be stable and
 /// sensitive to every key input (spec, seed, engine fingerprint); records
@@ -53,52 +55,7 @@ class StoreDir {
   fs::path dir_;
 };
 
-/// Every field distinct and nonzero, so a dropped/reordered field in the
-/// codec cannot cancel out.
-ScenarioResult dense_result() {
-  ScenarioResult r;
-  r.protocol = "auth";
-  r.bounds.accept_spread = 0.01;
-  r.bounds.alpha = 0.011;
-  r.bounds.gamma = 2e-4;
-  r.bounds.precision = 0.031;
-  r.bounds.pulse_spread = 0.012;
-  r.bounds.min_period = 0.9;
-  r.bounds.max_period = 1.1;
-  r.bounds.rate_lo = 0.9997;
-  r.bounds.rate_hi = 1.0003;
-  r.max_skew = 0.0123;
-  r.steady_skew = 0.0045;
-  r.local_skew = 0.0101;
-  r.steady_local_skew = 0.0040;
-  r.skew_series = {{0.1, 0.004}, {0.2, 0.0041}, {0.3, 0.0039}, {5.5, 0.0038}};
-  r.pulse_spread = 0.008;
-  r.min_period = 0.95;
-  r.max_period = 1.05;
-  r.min_pulses = 5;
-  r.max_pulses = 6;
-  r.live = true;
-  r.envelope.min_rate = 0.99985;
-  r.envelope.max_rate = 1.00015;
-  r.envelope.upper_offset = 0.002;
-  r.envelope.lower_offset = 0.003;
-  r.rate_fit_tolerance = 0.0007;
-  r.join_latency = 1.25;
-  r.joiners_integrated = true;
-  r.rejoin_latency = 2.5;
-  r.churned_rejoined = true;
-  r.topology_epochs = 3;
-  r.messages_sent = 1234;
-  r.bytes_sent = 56789;
-  r.messages_dropped = 17;
-  r.events_dispatched = 99999;
-  r.rounds_completed = 6;
-  r.corruption_events = 2;
-  r.nodes_corrupted = 13;
-  r.stabilized = true;
-  r.stabilization_time = 3.75;
-  return r;
-}
+namespace dense = experiment::dense;
 
 void expect_equal(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.protocol, b.protocol);
@@ -225,6 +182,13 @@ TEST(CacheKey, EngineFingerprintBumpInvalidatesEveryKey) {
   }
 }
 
+TEST(CacheKey, DenseSpecKeyIsPinnedUnderAFixedFingerprint) {
+  // Stores written by earlier builds keep hitting only while spec_to_json's
+  // bytes stay put; a fixed fingerprint isolates those bytes from the build.
+  EXPECT_EQ(cell_key(dense::spec(), "stclock-engine/test"),
+            "3a4ee3968c728e42bb54ddcd718df845");
+}
+
 TEST(EngineInfo, FingerprintNamesTheVersionAndASalt) {
   const std::string& fp = experiment::engine_fingerprint();
   EXPECT_NE(fp.find(experiment::kEngineVersion), std::string::npos);
@@ -235,13 +199,20 @@ TEST(EngineInfo, FingerprintNamesTheVersionAndASalt) {
 // --- Codec -------------------------------------------------------------------
 
 TEST(ResultCodec, RoundTripsEveryField) {
-  const ScenarioResult original = dense_result();
+  const ScenarioResult original = dense::result();
   const Bytes encoded = encode_result(original);
   expect_equal(original, decode_result(encoded));
 }
 
+TEST(ResultCodec, DenseResultEncodesToPinnedBytes) {
+  const Bytes encoded = encode_result(dense::result());
+  EXPECT_EQ(encoded.size(), 360u);
+  EXPECT_EQ(util::Digest().update(encoded.data(), encoded.size()).hex(),
+            "079df4a1ffe83b09286b6432a1d95d69");
+}
+
 TEST(ResultCodec, RejectsVersionMismatchAndTrailingBytes) {
-  Bytes encoded = encode_result(dense_result());
+  Bytes encoded = encode_result(dense::result());
   Bytes wrong_version = encoded;
   wrong_version[0] ^= 0xFF;  // version is the leading u32
   EXPECT_THROW((void)decode_result(wrong_version), std::logic_error);
@@ -261,7 +232,7 @@ TEST(ResultStore, SaveLoadRoundTripAndMissSemantics) {
   EXPECT_FALSE(store.load(key).has_value());
   EXPECT_FALSE(store.contains(key));
 
-  const ScenarioResult original = dense_result();
+  const ScenarioResult original = dense::result();
   store.save(key, original);
   EXPECT_TRUE(store.contains(key));
   const auto loaded = store.load(key);
@@ -277,7 +248,7 @@ TEST(ResultStore, EveryTruncationIsAMissNeverACrash) {
   const StoreDir dir;
   const ResultStore store(dir.path());
   const std::string key = cell_key(ScenarioSpec{});
-  store.save(key, dense_result());
+  store.save(key, dense::result());
 
   const fs::path file = store.object_path(key);
   std::ifstream in(file, std::ios::binary);
@@ -296,7 +267,7 @@ TEST(ResultStore, EveryByteMutationIsAMissNeverACrash) {
   const StoreDir dir;
   const ResultStore store(dir.path());
   const std::string key = cell_key(ScenarioSpec{});
-  store.save(key, dense_result());
+  store.save(key, dense::result());
 
   const fs::path file = store.object_path(key);
   std::ifstream in(file, std::ios::binary);
@@ -334,7 +305,7 @@ TEST(ResultStore, ConcurrentWritersOfOneKeyNeverCorruptReaders) {
   const StoreDir dir;
   const ResultStore store(dir.path());
   const std::string key = cell_key(ScenarioSpec{});
-  const ScenarioResult value = dense_result();
+  const ScenarioResult value = dense::result();
   store.save(key, value);  // readers must see SOME complete record throughout
 
   std::atomic<bool> stop{false};
@@ -372,8 +343,8 @@ TEST(ResultStore, GcDropsOldEntriesKeepsFreshOnes) {
   old_spec.seed = 999;
   const std::string fresh_key = cell_key(fresh_spec);
   const std::string old_key = cell_key(old_spec);
-  store.save(fresh_key, dense_result());
-  store.save(old_key, dense_result());
+  store.save(fresh_key, dense::result());
+  store.save(old_key, dense::result());
 
   // Backdate one record two days; GC with keep = 1 day must drop exactly it.
   fs::last_write_time(store.object_path(old_key),
@@ -397,7 +368,7 @@ TEST(ResultStore, VerifySweepsTheWholeStoreAndNamesTheDamage) {
     ScenarioSpec spec;
     spec.seed = seed;
     keys.push_back(cell_key(spec));
-    store.save(keys.back(), dense_result());
+    store.save(keys.back(), dense::result());
   }
 
   // Healthy store: everything checked, nothing reported.
@@ -455,7 +426,7 @@ TEST(ResultStore, StatsAndKeysEnumerateTheObjects) {
     spec.seed = seed;
     const std::string key = cell_key(spec);
     expect.insert(key);
-    store.save(key, dense_result());
+    store.save(key, dense::result());
   }
   const std::vector<std::string> keys = store.keys();
   EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()), expect);

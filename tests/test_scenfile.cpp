@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "dense_fixtures.h"
 #include "experiment/sinks.h"
 #include "experiment/sweep.h"
 #include "scenfile/scenfile.h"
@@ -217,6 +218,104 @@ TEST(ScenfileSpec, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(back.partition_end, spec.partition_end);
   EXPECT_EQ(back.skew_series_interval, spec.skew_series_interval);
   EXPECT_EQ(back.envelope_interval, spec.envelope_interval);
+}
+
+/// spec_to_json of the dense spec is the cache-key input: its bytes are the
+/// key of every stored cell, so they are pinned literally.
+constexpr const char* kDenseSpecJson =
+    "{\n"
+    "  \"protocol\": \"echo\",\n"
+    "  \"n\": 10,\n"
+    "  \"f\": 3,\n"
+    "  \"rho\": 0.00125,\n"
+    "  \"tdel\": 0.012500000000000001,\n"
+    "  \"period\": 1.5,\n"
+    "  \"alpha\": 0.10000000000000001,\n"
+    "  \"initial_sync\": 0.0060000000000000001,\n"
+    "  \"allow_unsynchronized_start\": true,\n"
+    "  \"adjust\": \"amortized\",\n"
+    "  \"amortize_window\": 0.25,\n"
+    "  \"delta\": 0.074999999999999997,\n"
+    "  \"seed\": 16045690984503098046,\n"
+    "  \"horizon\": 17.5,\n"
+    "  \"drift\": \"extremal\",\n"
+    "  \"delay\": \"alternating\",\n"
+    "  \"attack\": \"sleeper\",\n"
+    "  \"topology\": \"gnp\",\n"
+    "  \"gnp_p\": 0.8125,\n"
+    "  \"topology_seed\": 18369614218089748088,\n"
+    "  \"expander_k\": 12,\n"
+    "  \"broadcast_mode\": \"sampled\",\n"
+    "  \"sample_size\": 5,\n"
+    "  \"topology_events\": [{\"at\": 2.5, \"remove\": [0, 1]}, {\"at\": 4, \"add\": [1, 2]}, "
+    "{\"at\": 6.25, \"set\": \"torus\"}],\n"
+    "  \"joiners\": 2,\n"
+    "  \"join_time\": 7.25,\n"
+    "  \"corrupt_override\": 1,\n"
+    "  \"corrupt_at\": [3.5, 8.75],\n"
+    "  \"corrupt_fraction\": 0.5,\n"
+    "  \"corrupt_kinds\": \"clocks,state\",\n"
+    "  \"churn_nodes\": 1,\n"
+    "  \"churn_leave\": 3.125,\n"
+    "  \"churn_rejoin\": 9.875,\n"
+    "  \"partition_group\": 4,\n"
+    "  \"partition_start\": 2.75,\n"
+    "  \"partition_end\": 5.5,\n"
+    "  \"skew_series_interval\": 0.025000000000000001,\n"
+    "  \"envelope_interval\": 0.125,\n"
+    "  \"sim_threads\": 4\n"
+    "}\n";
+
+TEST(ScenfileSpec, DenseSpecSerializesToPinnedBytesAndRoundTrips) {
+  const ScenarioSpec spec = experiment::dense::spec();
+  EXPECT_EQ(spec_to_json(spec), kDenseSpecJson);
+  EXPECT_EQ(spec_to_json(parse_spec(kDenseSpecJson)), kDenseSpecJson);
+
+  // The fields JsonRoundTripPreservesEveryField leaves out.
+  const ScenarioSpec back = parse_spec(spec_to_json(spec));
+  ASSERT_EQ(back.topology_events.size(), spec.topology_events.size());
+  for (std::size_t i = 0; i < spec.topology_events.size(); ++i) {
+    SCOPED_TRACE("topology_events[" + std::to_string(i) + "]");
+    EXPECT_EQ(back.topology_events[i].kind, spec.topology_events[i].kind);
+    EXPECT_EQ(back.topology_events[i].at, spec.topology_events[i].at);
+    EXPECT_EQ(back.topology_events[i].a, spec.topology_events[i].a);
+    EXPECT_EQ(back.topology_events[i].b, spec.topology_events[i].b);
+    if (spec.topology_events[i].kind == experiment::TopologyEventSpec::Kind::kSetGraph) {
+      EXPECT_EQ(back.topology_events[i].set, spec.topology_events[i].set);
+    }
+  }
+  EXPECT_EQ(back.corrupt_at, spec.corrupt_at);
+  EXPECT_EQ(back.corrupt_kinds, spec.corrupt_kinds);
+  EXPECT_EQ(back.sim_threads, spec.sim_threads);
+}
+
+TEST(ScenfileSpec, UnknownFieldErrorsListAllKnownFieldsInOrder) {
+  const auto error_of = [](auto parse) -> std::string {
+    try {
+      parse();
+    } catch (const ScenarioFileError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of([] { (void)parse_spec(R"({"bogus": 1})"); }),
+    "<spec>:1: spec.bogus: unknown field (known: protocol, n, f, rho, tdel, period, alpha, "
+    "initial_sync, allow_unsynchronized_start, adjust, amortize_window, delta, seed, "
+    "horizon, drift, delay, attack, topology, gnp_p, topology_seed, expander_k, "
+    "broadcast_mode, sample_size, topology_events, joiners, join_time, corrupt_override, "
+    "corrupt_at, corrupt_fraction, corrupt_kinds, churn_nodes, churn_leave, churn_rejoin, "
+    "partition_group, partition_start, partition_end, skew_series_interval, "
+    "envelope_interval, sim_threads)");
+  EXPECT_EQ(error_of([] {
+              (void)parse_grid(R"({"axes": [{"name": "bogus", "values": [1]}]})");
+            }),
+    "<grid>:1: axes[0].name: unknown axis field \"bogus\" (known: protocol, n, f, rho, tdel, "
+    "period, alpha, initial_sync, allow_unsynchronized_start, adjust, amortize_window, "
+    "delta, seed, horizon, drift, delay, attack, topology, gnp_p, topology_seed, expander_k, "
+    "broadcast_mode, sample_size, topology_events, joiners, join_time, corrupt_override, "
+    "corrupt_at, corrupt_fraction, corrupt_kinds, churn_nodes, churn_leave, churn_rejoin, "
+    "partition_group, partition_start, partition_end, skew_series_interval, "
+    "envelope_interval, sim_threads)");
 }
 
 /// Checks one enum's name table against its printer and the scenario-file
