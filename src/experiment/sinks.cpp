@@ -1,51 +1,19 @@
 #include "experiment/sinks.h"
 
-#include <cstdio>
-#include <limits>
 #include <ostream>
-#include <sstream>
 #include <string>
 
+#include "scenfile/json.h"
+#include "scenfile/scenfile.h"
 #include "util/contracts.h"
+#include "util/table.h"
 
 namespace stclock::experiment {
 
 namespace {
 
-std::string fmt(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (const char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string json_escape(const std::string& field) {
-  std::string out;
-  for (const char c : field) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
+using scenfile::format_double;
+using scenfile::json_escape;
 
 /// Axis names in order of first appearance across all cells.
 std::vector<std::string> label_columns(const std::vector<SweepCell>& cells) {
@@ -68,82 +36,31 @@ std::string label_value(const SweepCell& cell, const std::string& axis) {
   return "";
 }
 
-struct Field {
-  const char* name;
-  std::string value;
-};
-
-/// Compact label for a corrupt_at list: "[a;b]" (semicolons keep CSV cells
-/// unquoted-friendly and the value sweep-axis comparable).
-std::string corrupt_at_label(const std::vector<RealTime>& at) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < at.size(); ++i) {
-    if (i > 0) out += ';';
-    out += fmt(at[i]);
-  }
-  return out + "]";
-}
-
-std::vector<Field> spec_fields(const ScenarioSpec& spec) {
+std::vector<SinkField> result_fields(const ScenarioResult& r) {
   return {
-      {"protocol", spec.protocol},
-      {"n", std::to_string(spec.cfg.n)},
-      {"f", std::to_string(spec.cfg.f)},
-      {"rho", fmt(spec.cfg.rho)},
-      {"tdel", fmt(spec.cfg.tdel)},
-      {"period", fmt(spec.cfg.period)},
-      {"delta", fmt(spec.delta)},
-      {"seed", std::to_string(spec.seed)},
-      {"horizon", fmt(spec.horizon)},
-      {"drift", drift_name(spec.drift)},
-      {"delay", delay_name(spec.delay)},
-      {"attack", attack_name(spec.attack)},
-      {"topology", topology_kind_name(spec.topology)},
-      {"gnp_p", fmt(spec.gnp_p)},
-      {"topology_seed", std::to_string(spec.topology_seed)},
-      {"expander_k", std::to_string(spec.expander_k)},
-      {"broadcast_mode", broadcast_mode_name(spec.broadcast_mode)},
-      {"sample_size", std::to_string(spec.sample_size)},
-      {"topology_events", std::to_string(spec.topology_events.size())},
-      {"joiners", std::to_string(spec.joiners)},
-      {"corrupt_override", std::to_string(spec.corrupt_override)},
-      {"corrupt_at", corrupt_at_label(spec.corrupt_at)},
-      {"corrupt_fraction", fmt(spec.corrupt_fraction)},
-      {"corrupt_kinds", corrupt_kinds_name(spec.corrupt_kinds)},
-      {"churn_nodes", std::to_string(spec.churn_nodes)},
-      {"churn_leave", fmt(spec.churn_leave)},
-      {"churn_rejoin", fmt(spec.churn_rejoin)},
-      {"partition_group", std::to_string(spec.partition_group)},
-      {"partition_start", fmt(spec.partition_start)},
-      {"partition_end", fmt(spec.partition_end)},
-  };
-}
-
-std::vector<Field> result_fields(const ScenarioResult& r) {
-  return {
-      {"max_skew", fmt(r.max_skew)},
-      {"steady_skew", fmt(r.steady_skew)},
-      {"local_skew", fmt(r.local_skew)},
-      {"steady_local_skew", fmt(r.steady_local_skew)},
-      {"precision_bound", fmt(r.bounds.precision)},
-      {"pulse_spread", fmt(r.pulse_spread)},
-      {"min_period", fmt(r.min_period)},
-      {"max_period", fmt(r.max_period)},
+      {"max_skew", format_double(r.max_skew)},
+      {"steady_skew", format_double(r.steady_skew)},
+      {"local_skew", format_double(r.local_skew)},
+      {"steady_local_skew", format_double(r.steady_local_skew)},
+      {"precision_bound", format_double(r.bounds.precision)},
+      {"pulse_spread", format_double(r.pulse_spread)},
+      {"min_period", format_double(r.min_period)},
+      {"max_period", format_double(r.max_period)},
       {"min_pulses", std::to_string(r.min_pulses)},
       {"max_pulses", std::to_string(r.max_pulses)},
       {"live", r.live ? "1" : "0"},
-      {"min_rate", fmt(r.envelope.min_rate)},
-      {"max_rate", fmt(r.envelope.max_rate)},
-      {"rate_fit_tolerance", fmt(r.rate_fit_tolerance)},
-      {"join_latency", fmt(r.join_latency)},
+      {"min_rate", format_double(r.envelope.min_rate)},
+      {"max_rate", format_double(r.envelope.max_rate)},
+      {"rate_fit_tolerance", format_double(r.rate_fit_tolerance)},
+      {"join_latency", format_double(r.join_latency)},
       {"joiners_integrated", r.joiners_integrated ? "1" : "0"},
-      {"rejoin_latency", fmt(r.rejoin_latency)},
+      {"rejoin_latency", format_double(r.rejoin_latency)},
       {"churned_rejoined", r.churned_rejoined ? "1" : "0"},
       {"topology_epochs", std::to_string(r.topology_epochs)},
       {"corruption_events", std::to_string(r.corruption_events)},
       {"nodes_corrupted", std::to_string(r.nodes_corrupted)},
       {"stabilized", r.stabilized ? "1" : "0"},
-      {"stabilization_time", fmt(r.stabilization_time)},
+      {"stabilization_time", format_double(r.stabilization_time)},
       {"messages_sent", std::to_string(r.messages_sent)},
       {"bytes_sent", std::to_string(r.bytes_sent)},
       {"messages_dropped", std::to_string(r.messages_dropped)},
@@ -152,31 +69,20 @@ std::vector<Field> result_fields(const ScenarioResult& r) {
   };
 }
 
-/// Numeric fields pass through bare in JSON; everything else is quoted.
-bool json_bare(const std::string& value) {
-  if (value.empty()) return false;
-  std::size_t start = value[0] == '-' ? 1 : 0;
-  if (start == value.size()) return false;
-  for (std::size_t i = start; i < value.size(); ++i) {
-    const char c = value[i];
-    const bool numeric = (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-                         c == '+' || c == '-';
-    if (!numeric) return false;
-  }
-  return value != "inf" && value != "-inf" && value != "nan";
-}
+/// max_digits10 text is a JSON number unless it spells inf or nan.
+bool json_number(const std::string& text) { return text.find('n') == std::string::npos; }
 
-void write_json_object(std::ostream& os, const std::vector<Field>& fields) {
+void write_json_object(std::ostream& os, const std::vector<SinkField>& fields) {
   os << '{';
   bool first = true;
-  for (const Field& field : fields) {
+  for (const SinkField& field : fields) {
     if (!first) os << ", ";
     first = false;
     os << '"' << field.name << "\": ";
-    if (json_bare(field.value)) {
-      os << field.value;
+    if (field.quoted || !json_number(field.text)) {
+      os << '"' << json_escape(field.text) << '"';
     } else {
-      os << '"' << json_escape(field.value) << '"';
+      os << field.text;
     }
   }
   os << '}';
@@ -192,8 +98,8 @@ void write_csv(std::ostream& os, const std::vector<SweepCell>& cells,
   os << "cell";
   for (const std::string& axis : axes) os << ',' << csv_escape(axis);
   if (!cells.empty()) {
-    for (const Field& field : spec_fields(cells[0].spec)) os << ',' << field.name;
-    for (const Field& field : result_fields(results[0])) os << ',' << field.name;
+    for (const SinkField& field : scenfile::spec_columns(cells[0].spec)) os << ',' << field.name;
+    for (const SinkField& field : result_fields(results[0])) os << ',' << field.name;
   }
   os << '\n';
 
@@ -202,10 +108,10 @@ void write_csv(std::ostream& os, const std::vector<SweepCell>& cells,
     for (const std::string& axis : axes) os << ',' << csv_escape(label_value(cells[i], axis));
     // Record what actually ran (the registry's prepare hook applied), not
     // the pre-resolution request.
-    for (const Field& field : spec_fields(resolved_spec(cells[i].spec))) {
-      os << ',' << csv_escape(field.value);
+    for (const SinkField& field : scenfile::spec_columns(resolved_spec(cells[i].spec))) {
+      os << ',' << csv_escape(field.text);
     }
-    for (const Field& field : result_fields(results[i])) os << ',' << csv_escape(field.value);
+    for (const SinkField& field : result_fields(results[i])) os << ',' << csv_escape(field.text);
     os << '\n';
   }
 }
@@ -223,7 +129,7 @@ void write_json(std::ostream& os, const std::vector<SweepCell>& cells,
       os << '"' << json_escape(axis) << "\": \"" << json_escape(value) << '"';
     }
     os << "}, \"spec\": ";
-    write_json_object(os, spec_fields(resolved_spec(cells[i].spec)));
+    write_json_object(os, scenfile::spec_columns(resolved_spec(cells[i].spec)));
     os << ", \"result\": ";
     write_json_object(os, result_fields(results[i]));
     os << '}' << (i + 1 < cells.size() ? "," : "") << '\n';

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "experiment/sweep.h"
@@ -10,6 +11,15 @@
 /// metric set, so downstream plotting/analysis never needs bespoke parsing
 /// per experiment.
 namespace stclock::experiment {
+
+/// One field as the sinks print it. CSV writes `text`; JSON writes it quoted
+/// and escaped when `quoted`, and as a bare number otherwise (a non-finite
+/// number, which JSON cannot spell, is quoted too).
+struct SinkField {
+  const char* name;
+  std::string text;
+  bool quoted = false;
+};
 
 /// RFC-4180-ish CSV: one header row (axis labels first, in order of first
 /// appearance across cells, then spec and metric columns), one row per cell.

@@ -6,73 +6,76 @@ namespace stclock::resultstore {
 
 namespace {
 
-void put_bounds(ByteWriter& w, const theory::Bounds& b) {
-  w.f64(b.accept_spread);
-  w.f64(b.alpha);
-  w.f64(b.gamma);
-  w.f64(b.precision);
-  w.f64(b.pulse_spread);
-  w.f64(b.min_period);
-  w.f64(b.max_period);
-  w.f64(b.rate_lo);
-  w.f64(b.rate_hi);
+using SkewSeries = std::vector<std::pair<RealTime, double>>;
+
+/// The record's one field list, in wire order after the version. `codec` is
+/// an Encoder or a Decoder; each maps a field's C++ type to its wire form.
+template <typename Result, typename Codec>
+void walk(Result& r, Codec&& codec) {
+  codec(r.protocol, r.bounds.accept_spread, r.bounds.alpha, r.bounds.gamma, r.bounds.precision,
+        r.bounds.pulse_spread, r.bounds.min_period, r.bounds.max_period, r.bounds.rate_lo,
+        r.bounds.rate_hi, r.max_skew, r.steady_skew, r.local_skew, r.steady_local_skew,
+        r.skew_series, r.pulse_spread, r.min_period, r.max_period, r.min_pulses, r.max_pulses,
+        r.live, r.envelope.min_rate, r.envelope.max_rate, r.envelope.upper_offset,
+        r.envelope.lower_offset, r.rate_fit_tolerance, r.join_latency, r.joiners_integrated,
+        r.rejoin_latency, r.churned_rejoined, r.topology_epochs, r.corruption_events,
+        r.nodes_corrupted, r.stabilized, r.stabilization_time, r.messages_sent, r.bytes_sent,
+        r.messages_dropped, r.events_dispatched, r.rounds_completed);
 }
 
-theory::Bounds get_bounds(ByteReader& r) {
-  theory::Bounds b;
-  b.accept_spread = r.f64();
-  b.alpha = r.f64();
-  b.gamma = r.f64();
-  b.precision = r.f64();
-  b.pulse_spread = r.f64();
-  b.min_period = r.f64();
-  b.max_period = r.f64();
-  b.rate_lo = r.f64();
-  b.rate_hi = r.f64();
-  return b;
-}
+struct Encoder {
+  ByteWriter& w;
+
+  void put(const std::string& v) { w.str(v); }
+  void put(double v) { w.f64(v); }
+  void put(std::uint64_t v) { w.u64(v); }
+  void put(bool v) { w.u8(v ? 1 : 0); }
+  void put(const SkewSeries& series) {
+    w.u64(series.size());
+    for (const auto& [t, skew] : series) {
+      w.f64(t);
+      w.f64(skew);
+    }
+  }
+  template <typename... Field>
+  void operator()(const Field&... fields) {
+    (put(fields), ...);
+  }
+};
+
+struct Decoder {
+  ByteReader& r;
+
+  void get(std::string& v) { v = r.str(); }
+  void get(double& v) { v = r.f64(); }
+  void get(std::uint64_t& v) { v = r.u64(); }
+  void get(bool& v) { v = r.u8() != 0; }
+  void get(SkewSeries& series) {
+    const std::uint64_t samples = r.u64();
+    // A length prefix larger than the remaining payload is corruption; fail
+    // before allocating.
+    if (samples > r.remaining() / 16) {
+      throw std::logic_error("resultstore codec: skew series length exceeds payload");
+    }
+    series.reserve(static_cast<std::size_t>(samples));
+    for (std::uint64_t i = 0; i < samples; ++i) {
+      const double t = r.f64();
+      const double skew = r.f64();
+      series.emplace_back(t, skew);
+    }
+  }
+  template <typename... Field>
+  void operator()(Field&... fields) {
+    (get(fields), ...);
+  }
+};
 
 }  // namespace
 
 Bytes encode_result(const experiment::ScenarioResult& r) {
   ByteWriter w;
   w.u32(kResultCodecVersion);
-  w.str(r.protocol);
-  put_bounds(w, r.bounds);
-  w.f64(r.max_skew);
-  w.f64(r.steady_skew);
-  w.f64(r.local_skew);
-  w.f64(r.steady_local_skew);
-  w.u64(r.skew_series.size());
-  for (const auto& [t, skew] : r.skew_series) {
-    w.f64(t);
-    w.f64(skew);
-  }
-  w.f64(r.pulse_spread);
-  w.f64(r.min_period);
-  w.f64(r.max_period);
-  w.u64(r.min_pulses);
-  w.u64(r.max_pulses);
-  w.u8(r.live ? 1 : 0);
-  w.f64(r.envelope.min_rate);
-  w.f64(r.envelope.max_rate);
-  w.f64(r.envelope.upper_offset);
-  w.f64(r.envelope.lower_offset);
-  w.f64(r.rate_fit_tolerance);
-  w.f64(r.join_latency);
-  w.u8(r.joiners_integrated ? 1 : 0);
-  w.f64(r.rejoin_latency);
-  w.u8(r.churned_rejoined ? 1 : 0);
-  w.u64(r.topology_epochs);
-  w.u64(r.corruption_events);
-  w.u64(r.nodes_corrupted);
-  w.u8(r.stabilized ? 1 : 0);
-  w.f64(r.stabilization_time);
-  w.u64(r.messages_sent);
-  w.u64(r.bytes_sent);
-  w.u64(r.messages_dropped);
-  w.u64(r.events_dispatched);
-  w.u64(r.rounds_completed);
+  walk(r, Encoder{w});
   return std::move(w).take();
 }
 
@@ -83,49 +86,7 @@ experiment::ScenarioResult decode_result(std::span<const std::uint8_t> data) {
     throw std::logic_error("resultstore codec: unsupported record version");
   }
   experiment::ScenarioResult out;
-  out.protocol = r.str();
-  out.bounds = get_bounds(r);
-  out.max_skew = r.f64();
-  out.steady_skew = r.f64();
-  out.local_skew = r.f64();
-  out.steady_local_skew = r.f64();
-  const std::uint64_t samples = r.u64();
-  // A length prefix larger than the remaining payload is corruption; fail
-  // before allocating.
-  if (samples > r.remaining() / 16) {
-    throw std::logic_error("resultstore codec: skew series length exceeds payload");
-  }
-  out.skew_series.reserve(static_cast<std::size_t>(samples));
-  for (std::uint64_t i = 0; i < samples; ++i) {
-    const double t = r.f64();
-    const double skew = r.f64();
-    out.skew_series.emplace_back(t, skew);
-  }
-  out.pulse_spread = r.f64();
-  out.min_period = r.f64();
-  out.max_period = r.f64();
-  out.min_pulses = r.u64();
-  out.max_pulses = r.u64();
-  out.live = r.u8() != 0;
-  out.envelope.min_rate = r.f64();
-  out.envelope.max_rate = r.f64();
-  out.envelope.upper_offset = r.f64();
-  out.envelope.lower_offset = r.f64();
-  out.rate_fit_tolerance = r.f64();
-  out.join_latency = r.f64();
-  out.joiners_integrated = r.u8() != 0;
-  out.rejoin_latency = r.f64();
-  out.churned_rejoined = r.u8() != 0;
-  out.topology_epochs = r.u64();
-  out.corruption_events = r.u64();
-  out.nodes_corrupted = r.u64();
-  out.stabilized = r.u8() != 0;
-  out.stabilization_time = r.f64();
-  out.messages_sent = r.u64();
-  out.bytes_sent = r.u64();
-  out.messages_dropped = r.u64();
-  out.events_dispatched = r.u64();
-  out.rounds_completed = r.u64();
+  walk(out, Decoder{r});
   if (!r.exhausted()) {
     throw std::logic_error("resultstore codec: trailing bytes after record");
   }

@@ -1,7 +1,10 @@
 #include "scenfile/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <sstream>
 
 namespace stclock::scenfile {
 
@@ -263,6 +266,30 @@ class Parser {
 
 JsonValue parse_json(std::string_view input, const std::string& source) {
   return Parser(input, source).parse_document();
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+std::string format_double(double v) {
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  os << v;
+  return os.str();
 }
 
 }  // namespace stclock::scenfile

@@ -50,4 +50,11 @@ struct JsonValue {
 /// input in error messages — a file path or "<inline>".
 [[nodiscard]] JsonValue parse_json(std::string_view input, const std::string& source);
 
+/// `s` escaped for the inside of a JSON string literal (no quotes added).
+[[nodiscard]] std::string json_escape(std::string_view s);
+
+/// `v` at max_digits10 significant digits, so it reads back bit-exactly.
+/// Spec and sink numbers all print through this one formatter.
+[[nodiscard]] std::string format_double(double v);
+
 }  // namespace stclock::scenfile

@@ -23,80 +23,88 @@ namespace {
   throw ScenarioFileError(source + ":" + std::to_string(line) + ": " + path + ": " + msg);
 }
 
+/// A JSON value with what its errors name: the input's source and the
+/// value's path in the document.
+struct Value {
+  const JsonValue& json;
+  const std::string& source;
+  const std::string& path;
+
+  [[noreturn]] void fail(const std::string& msg) const { fail_at(source, json.line, path, msg); }
+};
+
 // --- Typed readers -----------------------------------------------------------
 
-void require_kind(const JsonValue& v, JsonValue::Kind kind, const char* kind_name,
-                  const std::string& source, const std::string& path) {
-  if (v.kind != kind) {
-    fail_at(source, v.line, path,
-            std::string("expected ") + kind_name + ", got " + v.kind_name());
+void require_kind(Value v, JsonValue::Kind kind, const char* kind_name) {
+  if (v.json.kind != kind) {
+    v.fail(std::string("expected ") + kind_name + ", got " + v.json.kind_name());
   }
 }
 
-double as_double(const JsonValue& v, const std::string& source, const std::string& path) {
-  require_kind(v, JsonValue::Kind::kNumber, "number", source, path);
-  return v.number;
+double as_double(Value v) {
+  require_kind(v, JsonValue::Kind::kNumber, "number");
+  return v.json.number;
 }
 
-bool as_bool(const JsonValue& v, const std::string& source, const std::string& path) {
-  require_kind(v, JsonValue::Kind::kBool, "bool", source, path);
-  return v.boolean;
+bool as_bool(Value v) {
+  require_kind(v, JsonValue::Kind::kBool, "bool");
+  return v.json.boolean;
 }
 
-const std::string& as_string(const JsonValue& v, const std::string& source,
-                             const std::string& path) {
-  require_kind(v, JsonValue::Kind::kString, "string", source, path);
-  return v.text;
+const std::string& as_string(Value v) {
+  require_kind(v, JsonValue::Kind::kString, "string");
+  return v.json.text;
 }
 
-std::uint64_t as_u64(const JsonValue& v, const std::string& source, const std::string& path) {
-  require_kind(v, JsonValue::Kind::kNumber, "number", source, path);
-  if (v.raw.find_first_of(".eE-") != std::string::npos) {
-    fail_at(source, v.line, path, "expected a non-negative integer, got " + v.raw);
+std::uint64_t as_u64(Value v) {
+  require_kind(v, JsonValue::Kind::kNumber, "number");
+  const std::string& raw = v.json.raw;
+  if (raw.find_first_of(".eE-") != std::string::npos) {
+    v.fail("expected a non-negative integer, got " + raw);
   }
   errno = 0;
   char* end = nullptr;
-  const std::uint64_t out = std::strtoull(v.raw.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') {
-    fail_at(source, v.line, path, "integer out of range: " + v.raw);
-  }
+  const std::uint64_t out = std::strtoull(raw.c_str(), &end, 10);
+  if (errno != 0 || end == nullptr || *end != '\0') v.fail("integer out of range: " + raw);
   return out;
 }
 
-std::uint32_t as_u32(const JsonValue& v, const std::string& source, const std::string& path) {
-  const std::uint64_t out = as_u64(v, source, path);
+std::uint32_t as_u32(Value v) {
+  const std::uint64_t out = as_u64(v);
   if (out > std::numeric_limits<std::uint32_t>::max()) {
-    fail_at(source, v.line, path, "integer out of range: " + v.raw);
+    v.fail("integer out of range: " + v.json.raw);
   }
   return static_cast<std::uint32_t>(out);
 }
 
-double as_positive(const JsonValue& v, const std::string& source, const std::string& path) {
-  const double out = as_double(v, source, path);
-  if (!(out > 0)) fail_at(source, v.line, path, "must be positive, got " + v.raw);
+/// Fails with "<what>, got <the value's text>" unless `ok`.
+void require(Value v, bool ok, const std::string& what) {
+  if (!ok) v.fail(what + ", got " + v.json.raw);
+}
+
+double as_positive(Value v) {
+  const double out = as_double(v);
+  require(v, out > 0, "must be positive");
   return out;
 }
 
-double as_non_negative(const JsonValue& v, const std::string& source,
-                       const std::string& path) {
-  const double out = as_double(v, source, path);
-  if (!(out >= 0)) fail_at(source, v.line, path, "must be non-negative, got " + v.raw);
+double as_non_negative(Value v) {
+  const double out = as_double(v);
+  require(v, out >= 0, "must be non-negative");
   return out;
 }
 
 // --- Enum names --------------------------------------------------------------
 
 template <typename Enum, std::size_t N>
-Enum enum_from_name(const JsonValue& v, std::span<const EnumName<Enum>, N> table,
-                    const char* what, const std::string& source, const std::string& path) {
-  const std::string& name = as_string(v, source, path);
+Enum enum_from_name(Value v, std::span<const EnumName<Enum>, N> table, const char* what) {
+  const std::string& name = as_string(v);
   std::string known;
   for (const auto& [entry_name, value] : table) {
     if (name == entry_name) return value;
     known += known.empty() ? entry_name : std::string(", ") + entry_name;
   }
-  fail_at(source, v.line, path,
-          std::string("unknown ") + what + " \"" + name + "\" (known: " + known + ")");
+  v.fail(std::string("unknown ") + what + " \"" + name + "\" (known: " + known + ")");
 }
 
 /// Scenario files accept every topology kind but kCustom, the table's last.
@@ -111,60 +119,51 @@ constexpr auto kFileTopologyKinds =
 /// errors (types, arity, self-loops, missing/extra keys) fail here with the
 /// element's line; node-range and connectivity checks need the final n and
 /// run in the engine's validate_spec (surfacing at load time per cell).
-experiment::TopologyEventSpec event_from_json(const JsonValue& v, const std::string& source,
-                                              const std::string& path) {
+experiment::TopologyEventSpec event_from_json(Value v) {
   using Kind = experiment::TopologyEventSpec::Kind;
-  require_kind(v, JsonValue::Kind::kObject, "object", source, path);
+  require_kind(v, JsonValue::Kind::kObject, "object");
   experiment::TopologyEventSpec event;
-  const JsonValue* at = v.find("at");
-  if (at == nullptr) fail_at(source, v.line, path, "missing \"at\"");
-  event.at = as_positive(*at, source, path + ".at");
+  const JsonValue* at = v.json.find("at");
+  if (at == nullptr) v.fail("missing \"at\"");
+  event.at = as_positive({*at, v.source, v.path + ".at"});
 
   const JsonValue* action = nullptr;
-  for (const auto& [key, value] : v.object) {
+  for (const auto& [key, value] : v.json.object) {
     if (key == "at") continue;
+    const std::string path = v.path + "." + key;
     if (key != "add" && key != "remove" && key != "set") {
-      fail_at(source, value.line, path + "." + key, "unknown key (known: at, add, remove, set)");
+      fail_at(v.source, value.line, path, "unknown key (known: at, add, remove, set)");
     }
     if (action != nullptr) {
-      fail_at(source, value.line, path, "need exactly one of \"add\", \"remove\", \"set\"");
+      fail_at(v.source, value.line, v.path, "need exactly one of \"add\", \"remove\", \"set\"");
     }
     action = &value;
+    const Value edge{value, v.source, path};
     if (key == "set") {
       event.kind = Kind::kSetGraph;
-      event.set = enum_from_name(value, kFileTopologyKinds, "topology kind", source,
-                                 path + ".set");
+      event.set = enum_from_name(edge, kFileTopologyKinds, "topology kind");
     } else {
       event.kind = key == "add" ? Kind::kAddEdge : Kind::kRemoveEdge;
-      const std::string edge_path = path + "." + key;
-      require_kind(value, JsonValue::Kind::kArray, "array", source, edge_path);
-      if (value.array.size() != 2) {
-        fail_at(source, value.line, edge_path, "expected an edge [a, b]");
-      }
-      event.a = as_u32(value.array[0], source, edge_path + "[0]");
-      event.b = as_u32(value.array[1], source, edge_path + "[1]");
-      if (event.a == event.b) {
-        fail_at(source, value.line, edge_path, "edge endpoints must be distinct");
-      }
+      require_kind(edge, JsonValue::Kind::kArray, "array");
+      if (value.array.size() != 2) edge.fail("expected an edge [a, b]");
+      event.a = as_u32({value.array[0], v.source, path + "[0]"});
+      event.b = as_u32({value.array[1], v.source, path + "[1]"});
+      if (event.a == event.b) edge.fail("edge endpoints must be distinct");
     }
   }
-  if (action == nullptr) {
-    fail_at(source, v.line, path, "need exactly one of \"add\", \"remove\", \"set\"");
-  }
+  if (action == nullptr) v.fail("need exactly one of \"add\", \"remove\", \"set\"");
   return event;
 }
 
-std::vector<experiment::TopologyEventSpec> events_from_json(const JsonValue& v,
-                                                            const std::string& source,
-                                                            const std::string& path) {
-  require_kind(v, JsonValue::Kind::kArray, "array", source, path);
+std::vector<experiment::TopologyEventSpec> events_from_json(Value v) {
+  require_kind(v, JsonValue::Kind::kArray, "array");
   std::vector<experiment::TopologyEventSpec> events;
-  events.reserve(v.array.size());
-  for (std::size_t i = 0; i < v.array.size(); ++i) {
-    const std::string element = path + "[" + std::to_string(i) + "]";
-    events.push_back(event_from_json(v.array[i], source, element));
+  events.reserve(v.json.array.size());
+  for (std::size_t i = 0; i < v.json.array.size(); ++i) {
+    const std::string element = v.path + "[" + std::to_string(i) + "]";
+    events.push_back(event_from_json({v.json.array[i], v.source, element}));
     if (i > 0 && events[i].at < events[i - 1].at) {
-      fail_at(source, v.array[i].line, element + ".at",
+      fail_at(v.source, v.json.array[i].line, element + ".at",
               "topology_events times must be non-decreasing");
     }
   }
@@ -176,30 +175,24 @@ std::vector<experiment::TopologyEventSpec> events_from_json(const JsonValue& v,
 /// Parses "corrupt_at": a single positive number or a non-decreasing array of
 /// them. A scalar means one corruption event, which also makes the field
 /// usable as a plain sweep axis.
-std::vector<RealTime> corrupt_at_from_json(const JsonValue& v, const std::string& source,
-                                           const std::string& path) {
+std::vector<RealTime> corrupt_at_from_json(Value v) {
+  if (v.json.kind == JsonValue::Kind::kNumber) return {as_positive(v)};
+  require_kind(v, JsonValue::Kind::kArray, "number or array");
   std::vector<RealTime> out;
-  if (v.kind == JsonValue::Kind::kNumber) {
-    out.push_back(as_positive(v, source, path));
-    return out;
-  }
-  require_kind(v, JsonValue::Kind::kArray, "number or array", source, path);
-  out.reserve(v.array.size());
-  for (std::size_t i = 0; i < v.array.size(); ++i) {
-    const std::string element = path + "[" + std::to_string(i) + "]";
-    out.push_back(as_positive(v.array[i], source, element));
-    if (i > 0 && out[i] < out[i - 1]) {
-      fail_at(source, v.array[i].line, element, "corrupt_at times must be non-decreasing");
-    }
+  out.reserve(v.json.array.size());
+  for (std::size_t i = 0; i < v.json.array.size(); ++i) {
+    const std::string path = v.path + "[" + std::to_string(i) + "]";
+    const Value element{v.json.array[i], v.source, path};
+    out.push_back(as_positive(element));
+    if (i > 0 && out[i] < out[i - 1]) element.fail("corrupt_at times must be non-decreasing");
   }
   return out;
 }
 
 /// Parses "corrupt_kinds": "all" or a comma-separated subset of
 /// "clocks,timers,buffers,state". Unknown names and duplicates are errors.
-std::uint32_t corrupt_kinds_from_json(const JsonValue& v, const std::string& source,
-                                      const std::string& path) {
-  const std::string& text = as_string(v, source, path);
+std::uint32_t corrupt_kinds_from_json(Value v) {
+  const std::string& text = as_string(v);
   std::uint32_t kinds = 0;
   std::size_t begin = 0;
   while (begin <= text.size()) {
@@ -208,12 +201,11 @@ std::uint32_t corrupt_kinds_from_json(const JsonValue& v, const std::string& sou
         text.substr(begin, comma == std::string::npos ? std::string::npos : comma - begin);
     const std::uint32_t bit = corrupt_kind_bit(token);
     if (bit == 0) {
-      fail_at(source, v.line, path,
-              "unknown corruption kind \"" + token +
-                  "\" (known: clocks, timers, buffers, state, all)");
+      v.fail("unknown corruption kind \"" + token +
+             "\" (known: clocks, timers, buffers, state, all)");
     }
     if ((kinds & bit) == bit && bit != kCorruptAll) {
-      fail_at(source, v.line, path, "duplicate corruption kind \"" + token + "\"");
+      v.fail("duplicate corruption kind \"" + token + "\"");
     }
     kinds |= bit;
     if (comma == std::string::npos) break;
@@ -222,131 +214,216 @@ std::uint32_t corrupt_kinds_from_json(const JsonValue& v, const std::string& sou
   return kinds;
 }
 
-// --- Field catalog -----------------------------------------------------------
+// --- Field table -------------------------------------------------------------
 
-/// Applies one named scalar field to a spec; shared by the "base" object and
-/// axis values, so both accept exactly the same fields under the same names
-/// (which are also the sinks' column names). Returns false for unknown names.
-bool apply_field(ScenarioSpec& spec, const std::string& field, const JsonValue& v,
-                 const std::string& source, const std::string& path) {
-  if (field == "protocol") {
-    const std::string& name = as_string(v, source, path);
-    if (ProtocolRegistry::global().find(name) == nullptr) {
-      std::string known;
-      for (const std::string& p : ProtocolRegistry::global().names()) {
-        known += known.empty() ? p : ", " + p;
-      }
-      fail_at(source, v.line, path,
-              "unregistered protocol \"" + name + "\" (known: " + known + ")");
-    }
-    spec.protocol = name;
-  } else if (field == "n") {
-    spec.cfg.n = as_u32(v, source, path);
-    if (spec.cfg.n == 0) fail_at(source, v.line, path, "need at least one node");
-  } else if (field == "f") {
-    spec.cfg.f = as_u32(v, source, path);
-  } else if (field == "rho") {
-    spec.cfg.rho = as_non_negative(v, source, path);
-  } else if (field == "tdel") {
-    spec.cfg.tdel = as_positive(v, source, path);
-  } else if (field == "period") {
-    spec.cfg.period = as_positive(v, source, path);
-  } else if (field == "alpha") {
-    spec.cfg.alpha = as_non_negative(v, source, path);
-  } else if (field == "initial_sync") {
-    spec.cfg.initial_sync = as_non_negative(v, source, path);
-  } else if (field == "allow_unsynchronized_start") {
-    spec.cfg.allow_unsynchronized_start = as_bool(v, source, path);
-  } else if (field == "adjust") {
-    spec.cfg.adjust = enum_from_name(v, std::span(kAdjustModeNames), "adjust mode", source, path);
-  } else if (field == "amortize_window") {
-    spec.cfg.amortize_window = as_non_negative(v, source, path);
-  } else if (field == "delta") {
-    spec.delta = as_positive(v, source, path);
-  } else if (field == "seed") {
-    spec.seed = as_u64(v, source, path);
-  } else if (field == "horizon") {
-    spec.horizon = as_positive(v, source, path);
-  } else if (field == "drift") {
-    spec.drift = enum_from_name(v, std::span(kDriftNames), "drift kind", source, path);
-  } else if (field == "delay") {
-    spec.delay = enum_from_name(v, std::span(kDelayNames), "delay kind", source, path);
-  } else if (field == "attack") {
-    spec.attack = enum_from_name(v, std::span(kAttackNames), "attack kind", source, path);
-  } else if (field == "topology") {
-    spec.topology = enum_from_name(v, kFileTopologyKinds, "topology kind", source, path);
-  } else if (field == "gnp_p") {
-    spec.gnp_p = as_double(v, source, path);
-    if (!(spec.gnp_p > 0 && spec.gnp_p <= 1)) {
-      fail_at(source, v.line, path, "edge probability must lie in (0, 1], got " + v.raw);
-    }
-  } else if (field == "topology_seed") {
-    spec.topology_seed = as_u64(v, source, path);
-  } else if (field == "expander_k") {
-    spec.expander_k = as_u32(v, source, path);
-    if (spec.expander_k < 2 || spec.expander_k % 2 != 0) {
-      fail_at(source, v.line, path,
-              "expander degree must be even and >= 2, got " + v.raw);
-    }
-  } else if (field == "broadcast_mode") {
-    spec.broadcast_mode =
-        enum_from_name(v, std::span(kBroadcastModeNames), "broadcast mode", source, path);
-  } else if (field == "sample_size") {
-    spec.sample_size = as_u32(v, source, path);
-  } else if (field == "topology_events") {
-    spec.topology_events = events_from_json(v, source, path);
-  } else if (field == "joiners") {
-    spec.joiners = as_u32(v, source, path);
-  } else if (field == "join_time") {
-    spec.join_time = as_positive(v, source, path);
-  } else if (field == "corrupt_override") {
-    spec.corrupt_override = as_u32(v, source, path);
-  } else if (field == "corrupt_at") {
-    spec.corrupt_at = corrupt_at_from_json(v, source, path);
-  } else if (field == "corrupt_fraction") {
-    spec.corrupt_fraction = as_double(v, source, path);
-    if (!(spec.corrupt_fraction > 0 && spec.corrupt_fraction <= 1)) {
-      fail_at(source, v.line, path, "corrupt_fraction must lie in (0, 1], got " + v.raw);
-    }
-  } else if (field == "corrupt_kinds") {
-    spec.corrupt_kinds = corrupt_kinds_from_json(v, source, path);
-  } else if (field == "churn_nodes") {
-    spec.churn_nodes = as_u32(v, source, path);
-  } else if (field == "churn_leave") {
-    spec.churn_leave = as_positive(v, source, path);
-  } else if (field == "churn_rejoin") {
-    spec.churn_rejoin = as_positive(v, source, path);
-  } else if (field == "partition_group") {
-    spec.partition_group = as_u32(v, source, path);
-  } else if (field == "partition_start") {
-    spec.partition_start = as_non_negative(v, source, path);
-  } else if (field == "partition_end") {
-    spec.partition_end = as_positive(v, source, path);
-  } else if (field == "skew_series_interval") {
-    spec.skew_series_interval = as_positive(v, source, path);
-  } else if (field == "envelope_interval") {
-    spec.envelope_interval = as_positive(v, source, path);
-  } else if (field == "sim_threads") {
-    spec.sim_threads = as_u32(v, source, path);
-    if (spec.sim_threads < 1 || spec.sim_threads > 64) {
-      fail_at(source, v.line, path, "sim_threads must lie in [1, 64], got " + v.raw);
-    }
-  } else {
-    return false;
+/// How a field's text is written as JSON: kString text is quoted and
+/// escaped, every other type is written as it is.
+enum class JsonType { kNumber, kBool, kString, kArray };
+
+using Spec = ScenarioSpec;
+using Text = std::string (*)(const Spec&);
+
+/// One ScenarioSpec field. Its name is the key in scenario files and in
+/// spec_to_json, and the column name in the sinks.
+struct SpecField {
+  const char* name;
+  JsonType type;
+  /// Whether the sinks print the field as a column.
+  bool column;
+  /// Reads and validates the value; throws ScenarioFileError naming it.
+  void (*apply)(Spec&, Value);
+  /// The canonical text spec_to_json writes, bit-exact through apply.
+  Text text;
+  /// The list fields' sink column, a summary in place of `text`.
+  Text summary = nullptr;
+  JsonType summary_type = JsonType::kNumber;
+};
+
+std::string times_text(const std::vector<RealTime>& times, const char* separator) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    if (i > 0) out += separator;
+    out += format_double(times[i]);
   }
-  return true;
+  return out + "]";
 }
 
-constexpr const char* kKnownFields =
-    "protocol, n, f, rho, tdel, period, alpha, initial_sync, "
-    "allow_unsynchronized_start, adjust, amortize_window, delta, seed, horizon, "
-    "drift, delay, attack, topology, gnp_p, topology_seed, expander_k, "
-    "broadcast_mode, sample_size, topology_events, "
-    "joiners, join_time, "
-    "corrupt_override, corrupt_at, corrupt_fraction, corrupt_kinds, "
-    "churn_nodes, churn_leave, churn_rejoin, partition_group, "
-    "partition_start, partition_end, skew_series_interval, envelope_interval, "
-    "sim_threads";
+std::string events_text(const std::vector<experiment::TopologyEventSpec>& events) {
+  using Kind = experiment::TopologyEventSpec::Kind;
+  std::string out = "[";
+  for (const experiment::TopologyEventSpec& ev : events) {
+    if (out.size() > 1) out += ", ";
+    out += "{\"at\": " + format_double(ev.at) + ", ";
+    if (ev.kind == Kind::kSetGraph) {
+      out += std::string("\"set\": \"") + topology_kind_name(ev.set) + "\"}";
+    } else {
+      out += ev.kind == Kind::kAddEdge ? "\"add\": [" : "\"remove\": [";
+      out += std::to_string(ev.a) + ", " + std::to_string(ev.b) + "]}";
+    }
+  }
+  return out + "]";
+}
+
+std::string registered_protocol(Value v) {
+  const std::string& name = as_string(v);
+  if (ProtocolRegistry::global().find(name) == nullptr) {
+    std::string known;
+    for (const std::string& p : ProtocolRegistry::global().names()) {
+      known += known.empty() ? p : ", " + p;
+    }
+    v.fail("unregistered protocol \"" + name + "\" (known: " + known + ")");
+  }
+  return name;
+}
+
+using enum JsonType;
+
+/// Every ScenarioSpec field, in spec_to_json order. The parser, its
+/// "unknown field" list, spec_to_json (the cache-key input) and the sinks'
+/// spec columns all read this table and nothing else.
+constexpr SpecField kSpecFields[] = {
+    {"protocol", kString, true, [](Spec& s, Value v) { s.protocol = registered_protocol(v); },
+     [](const Spec& s) { return s.protocol; }},
+    {"n", kNumber, true,
+     [](Spec& s, Value v) {
+       s.cfg.n = as_u32(v);
+       if (s.cfg.n == 0) v.fail("need at least one node");
+     },
+     [](const Spec& s) { return std::to_string(s.cfg.n); }},
+    {"f", kNumber, true, [](Spec& s, Value v) { s.cfg.f = as_u32(v); },
+     [](const Spec& s) { return std::to_string(s.cfg.f); }},
+    {"rho", kNumber, true, [](Spec& s, Value v) { s.cfg.rho = as_non_negative(v); },
+     [](const Spec& s) { return format_double(s.cfg.rho); }},
+    {"tdel", kNumber, true, [](Spec& s, Value v) { s.cfg.tdel = as_positive(v); },
+     [](const Spec& s) { return format_double(s.cfg.tdel); }},
+    {"period", kNumber, true, [](Spec& s, Value v) { s.cfg.period = as_positive(v); },
+     [](const Spec& s) { return format_double(s.cfg.period); }},
+    {"alpha", kNumber, false, [](Spec& s, Value v) { s.cfg.alpha = as_non_negative(v); },
+     [](const Spec& s) { return format_double(s.cfg.alpha); }},
+    {"initial_sync", kNumber, false,
+     [](Spec& s, Value v) { s.cfg.initial_sync = as_non_negative(v); },
+     [](const Spec& s) { return format_double(s.cfg.initial_sync); }},
+    {"allow_unsynchronized_start", kBool, false,
+     [](Spec& s, Value v) { s.cfg.allow_unsynchronized_start = as_bool(v); },
+     [](const Spec& s) {
+       return std::string(s.cfg.allow_unsynchronized_start ? "true" : "false");
+     }},
+    {"adjust", kString, false,
+     [](Spec& s, Value v) {
+       s.cfg.adjust = enum_from_name(v, std::span(kAdjustModeNames), "adjust mode");
+     },
+     [](const Spec& s) { return std::string(enum_name(kAdjustModeNames, s.cfg.adjust)); }},
+    {"amortize_window", kNumber, false,
+     [](Spec& s, Value v) { s.cfg.amortize_window = as_non_negative(v); },
+     [](const Spec& s) { return format_double(s.cfg.amortize_window); }},
+    {"delta", kNumber, true, [](Spec& s, Value v) { s.delta = as_positive(v); },
+     [](const Spec& s) { return format_double(s.delta); }},
+    {"seed", kNumber, true, [](Spec& s, Value v) { s.seed = as_u64(v); },
+     [](const Spec& s) { return std::to_string(s.seed); }},
+    {"horizon", kNumber, true, [](Spec& s, Value v) { s.horizon = as_positive(v); },
+     [](const Spec& s) { return format_double(s.horizon); }},
+    {"drift", kString, true,
+     [](Spec& s, Value v) { s.drift = enum_from_name(v, std::span(kDriftNames), "drift kind"); },
+     [](const Spec& s) { return std::string(drift_name(s.drift)); }},
+    {"delay", kString, true,
+     [](Spec& s, Value v) { s.delay = enum_from_name(v, std::span(kDelayNames), "delay kind"); },
+     [](const Spec& s) { return std::string(delay_name(s.delay)); }},
+    {"attack", kString, true,
+     [](Spec& s, Value v) { s.attack = enum_from_name(v, std::span(kAttackNames), "attack kind"); },
+     [](const Spec& s) { return std::string(attack_name(s.attack)); }},
+    {"topology", kString, true,
+     [](Spec& s, Value v) { s.topology = enum_from_name(v, kFileTopologyKinds, "topology kind"); },
+     [](const Spec& s) { return std::string(topology_kind_name(s.topology)); }},
+    {"gnp_p", kNumber, true,
+     [](Spec& s, Value v) {
+       s.gnp_p = as_double(v);
+       require(v, s.gnp_p > 0 && s.gnp_p <= 1, "edge probability must lie in (0, 1]");
+     },
+     [](const Spec& s) { return format_double(s.gnp_p); }},
+    {"topology_seed", kNumber, true, [](Spec& s, Value v) { s.topology_seed = as_u64(v); },
+     [](const Spec& s) { return std::to_string(s.topology_seed); }},
+    {"expander_k", kNumber, true,
+     [](Spec& s, Value v) {
+       s.expander_k = as_u32(v);
+       require(v, s.expander_k >= 2 && s.expander_k % 2 == 0,
+               "expander degree must be even and >= 2");
+     },
+     [](const Spec& s) { return std::to_string(s.expander_k); }},
+    {"broadcast_mode", kString, true,
+     [](Spec& s, Value v) {
+       s.broadcast_mode = enum_from_name(v, std::span(kBroadcastModeNames), "broadcast mode");
+     },
+     [](const Spec& s) { return std::string(broadcast_mode_name(s.broadcast_mode)); }},
+    {"sample_size", kNumber, true, [](Spec& s, Value v) { s.sample_size = as_u32(v); },
+     [](const Spec& s) { return std::to_string(s.sample_size); }},
+    {"topology_events", kArray, true,
+     [](Spec& s, Value v) { s.topology_events = events_from_json(v); },
+     [](const Spec& s) { return events_text(s.topology_events); },
+     [](const Spec& s) { return std::to_string(s.topology_events.size()); }, kNumber},
+    {"joiners", kNumber, true, [](Spec& s, Value v) { s.joiners = as_u32(v); },
+     [](const Spec& s) { return std::to_string(s.joiners); }},
+    {"join_time", kNumber, false, [](Spec& s, Value v) { s.join_time = as_positive(v); },
+     [](const Spec& s) { return format_double(s.join_time); }},
+    {"corrupt_override", kNumber, true, [](Spec& s, Value v) { s.corrupt_override = as_u32(v); },
+     [](const Spec& s) { return std::to_string(s.corrupt_override); }},
+    // The sink column joins the times with ';' so CSV cells need no quotes.
+    {"corrupt_at", kArray, true,
+     [](Spec& s, Value v) { s.corrupt_at = corrupt_at_from_json(v); },
+     [](const Spec& s) { return times_text(s.corrupt_at, ", "); },
+     [](const Spec& s) { return times_text(s.corrupt_at, ";"); }, kString},
+    {"corrupt_fraction", kNumber, true,
+     [](Spec& s, Value v) {
+       s.corrupt_fraction = as_double(v);
+       require(v, s.corrupt_fraction > 0 && s.corrupt_fraction <= 1,
+               "corrupt_fraction must lie in (0, 1]");
+     },
+     [](const Spec& s) { return format_double(s.corrupt_fraction); }},
+    {"corrupt_kinds", kString, true,
+     [](Spec& s, Value v) { s.corrupt_kinds = corrupt_kinds_from_json(v); },
+     [](const Spec& s) { return corrupt_kinds_name(s.corrupt_kinds); }},
+    {"churn_nodes", kNumber, true, [](Spec& s, Value v) { s.churn_nodes = as_u32(v); },
+     [](const Spec& s) { return std::to_string(s.churn_nodes); }},
+    {"churn_leave", kNumber, true, [](Spec& s, Value v) { s.churn_leave = as_positive(v); },
+     [](const Spec& s) { return format_double(s.churn_leave); }},
+    {"churn_rejoin", kNumber, true, [](Spec& s, Value v) { s.churn_rejoin = as_positive(v); },
+     [](const Spec& s) { return format_double(s.churn_rejoin); }},
+    {"partition_group", kNumber, true, [](Spec& s, Value v) { s.partition_group = as_u32(v); },
+     [](const Spec& s) { return std::to_string(s.partition_group); }},
+    {"partition_start", kNumber, true,
+     [](Spec& s, Value v) { s.partition_start = as_non_negative(v); },
+     [](const Spec& s) { return format_double(s.partition_start); }},
+    {"partition_end", kNumber, true, [](Spec& s, Value v) { s.partition_end = as_positive(v); },
+     [](const Spec& s) { return format_double(s.partition_end); }},
+    {"skew_series_interval", kNumber, false,
+     [](Spec& s, Value v) { s.skew_series_interval = as_positive(v); },
+     [](const Spec& s) { return format_double(s.skew_series_interval); }},
+    {"envelope_interval", kNumber, false,
+     [](Spec& s, Value v) { s.envelope_interval = as_positive(v); },
+     [](const Spec& s) { return format_double(s.envelope_interval); }},
+    {"sim_threads", kNumber, false,
+     [](Spec& s, Value v) {
+       s.sim_threads = as_u32(v);
+       require(v, s.sim_threads >= 1 && s.sim_threads <= 64, "sim_threads must lie in [1, 64]");
+     },
+     [](const Spec& s) { return std::to_string(s.sim_threads); }},
+};
+
+const SpecField* find_field(const std::string& name) {
+  for (const SpecField& field : kSpecFields) {
+    if (name == field.name) return &field;
+  }
+  return nullptr;
+}
+
+/// "protocol, n, f, ...": the names every unknown-field error lists.
+std::string known_fields() {
+  std::string out;
+  for (const SpecField& field : kSpecFields) {
+    if (!out.empty()) out += ", ";
+    out += field.name;
+  }
+  return out;
+}
 
 /// Compact single-line re-serialization, used to label array-valued axis
 /// cells (e.g. a topology_events sweep) in sinks and summaries.
@@ -428,24 +505,41 @@ void validate_cells(const SweepGrid& grid, const std::string& source) {
   }
 }
 
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
+/// One sink record (a JSON line or a CSV row) and its global cell index.
+using Record = std::pair<std::uint64_t, std::string>;
+
+/// The half of a shard merge both sink formats share: sorts the records by
+/// cell index, rejects an index two shards both hold, and joins the records
+/// between `head` and `tail`, with `separator` after all but the last.
+std::string join_records(std::vector<Record> records, std::string head, const char* separator,
+                         const char* tail) {
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) { return a.first < b.first; });
+  std::string out = std::move(head);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (i > 0 && records[i].first == records[i - 1].first) {
+      throw ScenarioFileError("duplicate cell " + std::to_string(records[i].first) +
+                              " across shards");
+    }
+    out += records[i].second;
+    out += i + 1 < records.size() ? separator : "\n";
+  }
+  return out + tail;
 }
 
 }  // namespace
 
 ScenarioSpec spec_from_json(const JsonValue& value, const std::string& source,
                             const std::string& path) {
-  require_kind(value, JsonValue::Kind::kObject, "object", source, path);
+  require_kind({value, source, path}, JsonValue::Kind::kObject, "object");
   ScenarioSpec spec;
-  for (const auto& [field, v] : value.object) {
-    if (!apply_field(spec, field, v, source, path + "." + field)) {
-      fail_at(source, v.line, path + "." + field,
-              std::string("unknown field (known: ") + kKnownFields + ")");
+  for (const auto& [name, v] : value.object) {
+    const std::string field_path = path + "." + name;
+    const SpecField* field = find_field(name);
+    if (field == nullptr) {
+      fail_at(source, v.line, field_path, "unknown field (known: " + known_fields() + ")");
     }
+    field->apply(spec, {v, source, field_path});
   }
   return spec;
 }
@@ -456,83 +550,36 @@ ScenarioSpec parse_spec(const std::string& text, const std::string& source) {
 
 std::string spec_to_json(const ScenarioSpec& spec) {
   std::ostringstream os;
-  os << "{\n";
-  const auto str = [&os](const char* key, const std::string& v) {
-    os << "  \"" << key << "\": \"" << v << "\",\n";
-  };
-  const auto num = [&os](const char* key, const std::string& v, bool last = false) {
-    os << "  \"" << key << "\": " << v << (last ? "\n" : ",\n");
-  };
-  str("protocol", spec.protocol);
-  num("n", std::to_string(spec.cfg.n));
-  num("f", std::to_string(spec.cfg.f));
-  num("rho", fmt_double(spec.cfg.rho));
-  num("tdel", fmt_double(spec.cfg.tdel));
-  num("period", fmt_double(spec.cfg.period));
-  num("alpha", fmt_double(spec.cfg.alpha));
-  num("initial_sync", fmt_double(spec.cfg.initial_sync));
-  os << "  \"allow_unsynchronized_start\": "
-     << (spec.cfg.allow_unsynchronized_start ? "true" : "false") << ",\n";
-  str("adjust", enum_name(kAdjustModeNames, spec.cfg.adjust));
-  num("amortize_window", fmt_double(spec.cfg.amortize_window));
-  num("delta", fmt_double(spec.delta));
-  num("seed", std::to_string(spec.seed));
-  num("horizon", fmt_double(spec.horizon));
-  str("drift", drift_name(spec.drift));
-  str("delay", delay_name(spec.delay));
-  str("attack", attack_name(spec.attack));
-  str("topology", topology_kind_name(spec.topology));
-  num("gnp_p", fmt_double(spec.gnp_p));
-  num("topology_seed", std::to_string(spec.topology_seed));
-  num("expander_k", std::to_string(spec.expander_k));
-  str("broadcast_mode", broadcast_mode_name(spec.broadcast_mode));
-  num("sample_size", std::to_string(spec.sample_size));
-  os << "  \"topology_events\": [";
-  for (std::size_t i = 0; i < spec.topology_events.size(); ++i) {
-    const experiment::TopologyEventSpec& ev = spec.topology_events[i];
-    if (i > 0) os << ", ";
-    os << "{\"at\": " << fmt_double(ev.at) << ", ";
-    switch (ev.kind) {
-      case experiment::TopologyEventSpec::Kind::kAddEdge:
-        os << "\"add\": [" << ev.a << ", " << ev.b << "]";
-        break;
-      case experiment::TopologyEventSpec::Kind::kRemoveEdge:
-        os << "\"remove\": [" << ev.a << ", " << ev.b << "]";
-        break;
-      case experiment::TopologyEventSpec::Kind::kSetGraph:
-        os << "\"set\": \"" << topology_kind_name(ev.set) << "\"";
-        break;
+  const char* separator = "{\n";
+  for (const SpecField& field : kSpecFields) {
+    os << separator << "  \"" << field.name << "\": ";
+    separator = ",\n";
+    if (field.type == kString) {
+      os << '"' << json_escape(field.text(spec)) << '"';
+    } else {
+      os << field.text(spec);
     }
-    os << "}";
   }
-  os << "],\n";
-  num("joiners", std::to_string(spec.joiners));
-  num("join_time", fmt_double(spec.join_time));
-  num("corrupt_override", std::to_string(spec.corrupt_override));
-  os << "  \"corrupt_at\": [";
-  for (std::size_t i = 0; i < spec.corrupt_at.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << fmt_double(spec.corrupt_at[i]);
-  }
-  os << "],\n";
-  num("corrupt_fraction", fmt_double(spec.corrupt_fraction));
-  str("corrupt_kinds", corrupt_kinds_name(spec.corrupt_kinds));
-  num("churn_nodes", std::to_string(spec.churn_nodes));
-  num("churn_leave", fmt_double(spec.churn_leave));
-  num("churn_rejoin", fmt_double(spec.churn_rejoin));
-  num("partition_group", std::to_string(spec.partition_group));
-  num("partition_start", fmt_double(spec.partition_start));
-  num("partition_end", fmt_double(spec.partition_end));
-  num("skew_series_interval", fmt_double(spec.skew_series_interval));
-  num("envelope_interval", fmt_double(spec.envelope_interval));
-  num("sim_threads", std::to_string(spec.sim_threads), /*last=*/true);
-  os << "}\n";
+  os << "\n}\n";
   return os.str();
+}
+
+std::vector<experiment::SinkField> spec_columns(const ScenarioSpec& spec) {
+  std::vector<experiment::SinkField> out;
+  for (const SpecField& field : kSpecFields) {
+    if (!field.column) continue;
+    if (field.summary != nullptr) {
+      out.push_back({field.name, field.summary(spec), field.summary_type == kString});
+    } else {
+      out.push_back({field.name, field.text(spec), field.type == kString});
+    }
+  }
+  return out;
 }
 
 SweepGrid parse_grid(const std::string& text, const std::string& source) {
   const JsonValue doc = parse_json(text, source);
-  require_kind(doc, JsonValue::Kind::kObject, "object", source, "grid");
+  require_kind({doc, source, "grid"}, JsonValue::Kind::kObject, "object");
   for (const auto& [key, v] : doc.object) {
     if (key != "base" && key != "axes" && key != "reseed_per_cell") {
       fail_at(source, v.line, key, "unknown key (known: base, axes, reseed_per_cell)");
@@ -544,12 +591,12 @@ SweepGrid parse_grid(const std::string& text, const std::string& source) {
 
   SweepGrid grid(base);
   if (const JsonValue* axes = doc.find("axes")) {
-    require_kind(*axes, JsonValue::Kind::kArray, "array", source, "axes");
+    require_kind({*axes, source, "axes"}, JsonValue::Kind::kArray, "array");
     std::vector<std::string> seen;
     for (std::size_t i = 0; i < axes->array.size(); ++i) {
       const JsonValue& axis = axes->array[i];
       const std::string path = "axes[" + std::to_string(i) + "]";
-      require_kind(axis, JsonValue::Kind::kObject, "object", source, path);
+      require_kind({axis, source, path}, JsonValue::Kind::kObject, "object");
       for (const auto& [key, v] : axis.object) {
         if (key != "name" && key != "values") {
           fail_at(source, v.line, path + "." + key, "unknown key (known: name, values)");
@@ -557,7 +604,7 @@ SweepGrid parse_grid(const std::string& text, const std::string& source) {
       }
       const JsonValue* name_v = axis.find("name");
       if (name_v == nullptr) fail_at(source, axis.line, path, "missing \"name\"");
-      const std::string& name = as_string(*name_v, source, path + ".name");
+      const std::string& name = as_string({*name_v, source, path + ".name"});
       if (std::find(seen.begin(), seen.end(), name) != seen.end()) {
         fail_at(source, name_v->line, path + ".name", "duplicate axis \"" + name + "\"");
       }
@@ -565,38 +612,36 @@ SweepGrid parse_grid(const std::string& text, const std::string& source) {
 
       const JsonValue* values_v = axis.find("values");
       if (values_v == nullptr) fail_at(source, axis.line, path, "missing \"values\"");
-      require_kind(*values_v, JsonValue::Kind::kArray, "array", source, path + ".values");
+      require_kind({*values_v, source, path + ".values"}, JsonValue::Kind::kArray, "array");
       if (values_v->array.empty()) {
         fail_at(source, values_v->line, path + ".values", "axis needs at least one value");
       }
 
+      const SpecField* field = find_field(name);
       std::vector<SweepGrid::Value> values;
       values.reserve(values_v->array.size());
       for (std::size_t j = 0; j < values_v->array.size(); ++j) {
         const JsonValue& v = values_v->array[j];
         const std::string value_path = path + ".values[" + std::to_string(j) + "]";
         std::string label = value_label(v, source, value_path);
+        if (field == nullptr) {
+          fail_at(source, name_v->line, path + ".name",
+                  "unknown axis field \"" + name + "\" (known: " + known_fields() + ")");
+        }
         // Dry-run the applier now so a bad value fails at its source line
         // (the mutator itself runs later, against each cell).
         ScenarioSpec probe = base;
-        if (!apply_field(probe, name, v, source, value_path)) {
-          fail_at(source, name_v->line, path + ".name",
-                  "unknown axis field \"" + name + "\" (known: " + kKnownFields + ")");
-        }
-        JsonValue captured = v;
-        std::string field = name;
-        std::string src = source;
-        values.emplace_back(std::move(label),
-                            [captured, field, src, value_path](ScenarioSpec& spec) {
-                              apply_field(spec, field, captured, src, value_path);
-                            });
+        field->apply(probe, {v, source, value_path});
+        values.emplace_back(std::move(label), [field, v, source, value_path](ScenarioSpec& spec) {
+          field->apply(spec, {v, source, value_path});
+        });
       }
       grid.axis(name, std::move(values));
     }
   }
 
   if (const JsonValue* reseed = doc.find("reseed_per_cell")) {
-    grid.reseed_per_cell(as_bool(*reseed, source, "reseed_per_cell"));
+    grid.reseed_per_cell(as_bool({*reseed, source, "reseed_per_cell"}));
   }
 
   validate_cells(grid, source);
@@ -640,7 +685,7 @@ std::string merge_json_sinks(const std::vector<std::string>& shards) {
   // One record per line is part of write_json's format contract; the merge
   // keeps each record's bytes untouched so the result is byte-identical to
   // an unsharded dump over the same cells.
-  std::vector<std::pair<std::uint64_t, std::string>> records;
+  std::vector<Record> records;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const std::string source = "shard " + std::to_string(s);
     std::istringstream in(shards[s]);
@@ -662,33 +707,17 @@ std::string merge_json_sinks(const std::vector<std::string>& shards) {
           cell->kind != JsonValue::Kind::kNumber) {
         throw ScenarioFileError(source + ": record without a \"cell\" index: " + record);
       }
-      records.emplace_back(as_u64(*cell, source, "cell"), std::move(record));
+      records.emplace_back(as_u64({*cell, source, "cell"}), std::move(record));
     }
     if (!closed) throw ScenarioFileError(source + ": truncated dump (missing \"]\")");
   }
 
-  std::sort(records.begin(), records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    if (records[i].first == records[i - 1].first) {
-      throw ScenarioFileError("duplicate cell " + std::to_string(records[i].first) +
-                              " across shards");
-    }
-  }
-
-  std::string out = "[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out += records[i].second;
-    if (i + 1 < records.size()) out += ',';
-    out += '\n';
-  }
-  out += "]\n";
-  return out;
+  return join_records(std::move(records), "[\n", ",\n", "]\n");
 }
 
 std::string merge_csv_sinks(const std::vector<std::string>& shards) {
   std::string header;
-  std::vector<std::pair<std::uint64_t, std::string>> rows;
+  std::vector<Record> rows;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const std::string source = "shard " + std::to_string(s);
     std::istringstream in(shards[s]);
@@ -712,22 +741,7 @@ std::string merge_csv_sinks(const std::vector<std::string>& shards) {
     }
   }
 
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].first == rows[i - 1].first) {
-      throw ScenarioFileError("duplicate cell " + std::to_string(rows[i].first) +
-                              " across shards");
-    }
-  }
-
-  std::string out = header + "\n";
-  for (const auto& [index, row] : rows) {
-    (void)index;
-    out += row;
-    out += '\n';
-  }
-  return out;
+  return join_records(std::move(rows), header + "\n", "\n", "");
 }
 
 }  // namespace stclock::scenfile

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "experiment/sinks.h"
 #include "experiment/sweep.h"
 #include "scenfile/json.h"
 
@@ -21,19 +22,17 @@
 ///     "reseed_per_cell": false
 ///   }
 ///
-/// "base" accepts every ScenarioSpec field under the same flat names the
-/// sinks emit (n, f, rho, tdel, period, drift, delay, attack, topology,
-/// gnp_p, churn_nodes, partition_group, ...), plus the dynamic
-/// "topology_events" list of timed {"at": T, "add"/"remove": [a, b]} /
-/// {"at": T, "set": "ring"} graph mutations; an axis may range over any of
-/// those fields — including the topology block, so one grid can sweep
-/// complete vs ring vs gnp, a gnp_p density axis, or (the one array-valued
-/// axis) whole edge-failure windows via topology_events. The
-/// loader is strict: unknown keys, wrong types, out-of-range values,
-/// unregistered protocols, and duplicate axes are hard errors that name the
-/// offending field and source line (ScenarioFileError), and every
-/// materialized cell is pre-validated against the engine's own rules
-/// (experiment::validate_spec) so a bad grid fails at load time, not
+/// "base" accepts all 39 ScenarioSpec fields, under the names of the one
+/// field table that spec_to_json and spec_columns also read. They include
+/// the dynamic "topology_events" list of timed {"at": T, "add"/"remove":
+/// [a, b]} / {"at": T, "set": "ring"} graph mutations; an axis may range
+/// over any field — so one grid can sweep complete vs ring vs gnp, a gnp_p
+/// density axis, or (the one array-valued axis) whole edge-failure windows
+/// via topology_events. The loader is strict: unknown keys, wrong types,
+/// out-of-range values, unregistered protocols, and duplicate axes are hard
+/// errors that name the offending field and source line (ScenarioFileError),
+/// and every materialized cell is pre-validated against the engine's own
+/// rules (experiment::validate_spec) so a bad grid fails at load time, not
 /// mid-sweep.
 namespace stclock::scenfile {
 
@@ -48,7 +47,14 @@ namespace stclock::scenfile {
 
 /// Serializes every ScenarioSpec field to JSON, bit-exactly round-trippable
 /// through parse_spec (doubles at max_digits10, 64-bit seeds as integers).
+/// This is the cell key's input (resultstore/cache_key.h).
 [[nodiscard]] std::string spec_to_json(const experiment::ScenarioSpec& spec);
+
+/// The spec columns of the CSV/JSON sinks: 30 of the 39 fields, in
+/// spec_to_json order and under the same names. topology_events prints as
+/// its event count and corrupt_at as "[a;b]".
+[[nodiscard]] std::vector<experiment::SinkField> spec_columns(
+    const experiment::ScenarioSpec& spec);
 
 /// Parses and fully validates a grid document from JSON text.
 [[nodiscard]] experiment::SweepGrid parse_grid(const std::string& text,

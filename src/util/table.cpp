@@ -57,7 +57,6 @@ void Table::print(std::ostream& os) const {
   rule();
 }
 
-namespace {
 std::string csv_escape(const std::string& field) {
   if (field.find_first_of(",\"\n") == std::string::npos) return field;
   std::string out = "\"";
@@ -68,7 +67,6 @@ std::string csv_escape(const std::string& field) {
   out.push_back('"');
   return out;
 }
-}  // namespace
 
 void Table::print_csv(std::ostream& os) const {
   auto emit = [&](const std::vector<std::string>& cells) {

@@ -9,6 +9,10 @@
 /// format stays uniform across experiments.
 namespace stclock {
 
+/// RFC-4180 quoting: a field holding a comma, quote or newline is quoted,
+/// with inner quotes doubled; any other field is returned as is.
+[[nodiscard]] std::string csv_escape(const std::string& field);
+
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);

@@ -288,6 +288,22 @@ TEST(Sinks, JsonBytesArePinned) {
     "]\n");
 }
 
+TEST(Sinks, StringColumnsAreQuotedWhateverTheirText) {
+  // A protocol name that reads as a number is still a string in JSON.
+  ProtocolRegistry& registry = ProtocolRegistry::global();
+  if (registry.find("1e5") == nullptr) {
+    ProtocolRegistry::Entry entry = registry.at("unsynchronized");
+    entry.name = "1e5";
+    registry.add(std::move(entry));
+  }
+  ScenarioSpec spec;
+  spec.protocol = "1e5";
+  std::ostringstream os;
+  write_json(os, {SweepCell{0, {}, spec}}, {ScenarioResult{}});
+  EXPECT_NE(os.str().find(R"("spec": {"protocol": "1e5", "n": 4,)"), std::string::npos)
+      << os.str();
+}
+
 TEST(Engine, BaselineModeRejectsJoiners) {
   ScenarioSpec spec = small_spec("lundelius_welch");
   spec.joiners = 1;

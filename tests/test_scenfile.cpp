@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dense_fixtures.h"
+#include "experiment/registry.h"
 #include "experiment/sinks.h"
 #include "experiment/sweep.h"
 #include "scenfile/scenfile.h"
@@ -287,6 +288,24 @@ TEST(ScenfileSpec, DenseSpecSerializesToPinnedBytesAndRoundTrips) {
   EXPECT_EQ(back.corrupt_at, spec.corrupt_at);
   EXPECT_EQ(back.corrupt_kinds, spec.corrupt_kinds);
   EXPECT_EQ(back.sim_threads, spec.sim_threads);
+}
+
+TEST(ScenfileSpec, StringFieldsAreEscapedSoAnyRegisteredNameRoundTrips) {
+  // The registry accepts any non-empty name; spec_to_json must quote and
+  // escape it as a string so the cache-key text still parses back.
+  const std::string name = "we\"ird";
+  experiment::ProtocolRegistry& registry = experiment::ProtocolRegistry::global();
+  if (registry.find(name) == nullptr) {
+    experiment::ProtocolRegistry::Entry entry = registry.at("unsynchronized");
+    entry.name = name;
+    registry.add(std::move(entry));
+  }
+  ScenarioSpec spec;
+  spec.protocol = name;
+  const std::string json = spec_to_json(spec);
+  EXPECT_NE(json.find(R"("protocol": "we\"ird",)"), std::string::npos) << json;
+  EXPECT_EQ(parse_spec(json).protocol, name);
+  EXPECT_EQ(spec_to_json(parse_spec(json)), json);
 }
 
 TEST(ScenfileSpec, UnknownFieldErrorsListAllKnownFieldsInOrder) {
