@@ -15,9 +15,10 @@
 #   --scen   additionally smoke-run the scenario-file driver: scenrun on every
 #            checked-in example grid, then re-run each grid sharded in two
 #            halves (--cells) and verify scenmerge reassembles dumps
-#            byte-identical to the unsharded run; and a negative smoke: a
-#            Byzantine spec on sampled fan-out must make scenrun exit
-#            non-zero with the reason on stderr.
+#            byte-identical to the unsharded run; and two negative smokes: a
+#            Byzantine spec on sampled fan-out, and a spec with a misspelled
+#            field, must each make scenrun exit non-zero with the reason on
+#            stderr (the latter naming the field and all 39 known fields).
 #   --store  additionally smoke-run the result store: cold run of an example
 #            grid with --store, warm re-run asserted 100% hits with
 #            byte-identical dumps, and scenstore ls/stats/gc.
@@ -137,6 +138,27 @@ JSON
     || { echo "check.sh: Byzantine sampled spec failed without the reason:" >&2; \
          cat "$SCEN_TMP/byzantine.err" >&2; exit 1; }
   echo "check.sh: scen smoke OK: Byzantine spec on sampled fan-out rejected with the reason"
+  # A misspelled field fails at load time, naming the field and listing all
+  # 39 fields the parser knows, in spec_to_json order.
+  cat > "$SCEN_TMP/misspelled_field.json" <<'JSON'
+{"base": {"protocol": "auth", "n": 4, "horizn": 5.0}}
+JSON
+  if "$BUILD_DIR/scenrun" "$SCEN_TMP/misspelled_field.json" --csv /dev/null \
+    2> "$SCEN_TMP/misspelled.err"; then
+    echo "check.sh: scenrun ran a spec with a misspelled field" >&2; exit 1
+  fi
+  KNOWN_FIELDS="protocol, n, f, rho, tdel, period, alpha, initial_sync, \
+allow_unsynchronized_start, adjust, amortize_window, delta, seed, horizon, drift, delay, \
+attack, topology, gnp_p, topology_seed, expander_k, broadcast_mode, sample_size, \
+topology_events, joiners, join_time, corrupt_override, corrupt_at, corrupt_fraction, \
+corrupt_kinds, churn_nodes, churn_leave, churn_rejoin, partition_group, partition_start, \
+partition_end, skew_series_interval, envelope_interval, sim_threads"
+  [[ "$(tr ',' '\n' <<< "$KNOWN_FIELDS" | wc -l)" -eq 39 ]] \
+    || { echo "check.sh: KNOWN_FIELDS must name 39 fields" >&2; exit 1; }
+  grep -qF "base.horizn: unknown field (known: $KNOWN_FIELDS)" "$SCEN_TMP/misspelled.err" \
+    || { echo "check.sh: misspelled field failed without naming it and the 39 known:" >&2; \
+         cat "$SCEN_TMP/misspelled.err" >&2; exit 1; }
+  echo "check.sh: scen smoke OK: misspelled field rejected, all 39 known fields listed"
 fi
 
 if [[ "$RUN_STORE" -eq 1 ]]; then
