@@ -187,6 +187,106 @@ TEST(Simulator, CancelAfterFireIsANoOpAndUnknownIdsThrow) {
   EXPECT_EQ(p->fired_, 2);  // the no-op cancels must not eat the second timer
 }
 
+// Pending timers are per-node memory: a churn stop or a timer-corruption
+// victim loses its own, and nobody else's. Node 0 crashes at 1.25; at 1.75 a
+// corruption event wipes the process timers of half the nodes still up. The
+// run covers both engines (delay=half gives the parallel one its window) and
+// a Byzantine adversary (its timers live outside every node's table; with it
+// installed, sim_threads=2 falls back to the sequential engine).
+TEST(Simulator, TimerCancellationIsPerNode) {
+  /// What one node saw; kept outside the process, which a churn stop destroys.
+  struct ProbeLog {
+    std::vector<RealTime> timers;
+    std::vector<RealTime> ticks;
+    bool corrupted = false;
+  };
+  /// Ticks every 0.5 and arms one timer before the faults and one after.
+  class TimerProbe final : public Process {
+   public:
+    TimerProbe(const Simulator& sim, ProbeLog& log) : sim_(&sim), log_(&log) {}
+    void on_start(Context& ctx) override {
+      ctx.start_ticker(0.5);
+      (void)ctx.set_timer_at_hardware(1.0);
+      (void)ctx.set_timer_at_hardware(3.0);
+    }
+    void on_message(Context&, NodeId, const Message&) override {}
+    void on_timer(Context&, TimerId) override { log_->timers.push_back(sim_->now()); }
+    void on_tick(Context&) override { log_->ticks.push_back(sim_->now()); }
+    void corrupt_state(Rng&) override { log_->corrupted = true; }
+
+   private:
+    const Simulator* sim_;
+    ProbeLog* log_;
+  };
+
+  class TimerAdversary final : public Adversary {
+   public:
+    void on_start(AdversaryContext& ctx) override { (void)ctx.set_timer_at_real(3.0); }
+    void on_message(AdversaryContext&, NodeId, NodeId, const Message&) override {}
+    void on_timer(AdversaryContext& ctx, TimerId) override { fired.push_back(ctx.real_now()); }
+    std::vector<RealTime> fired;
+  };
+
+  const std::vector<RealTime> all_ticks{0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0};
+  for (const std::uint32_t threads : {1u, 2u}) {
+    for (const bool with_adversary : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "sim_threads=" << threads
+                                      << " adversary=" << with_adversary);
+      SimParams params;
+      params.n = 4;
+      params.tdel = 0.01;
+      params.seed = 7;
+      params.sim_threads = threads;
+      params.corruptions = {CorruptionEvent{1.75, 0.5, kCorruptTimers | kCorruptState, 5.0}};
+      Simulator sim(params, identity_clocks(4), std::make_unique<FixedDelay>(0.5), nullptr);
+      const NodeId honest = with_adversary ? 3 : 4;
+      std::vector<ProbeLog> logs(honest);
+      for (NodeId id = 0; id < honest; ++id) {
+        sim.set_process(id, std::make_unique<TimerProbe>(sim, logs[id]));
+      }
+      TimerAdversary* adversary = nullptr;
+      if (with_adversary) {
+        auto adv = std::make_unique<TimerAdversary>();
+        adversary = adv.get();
+        sim.set_adversary({3}, std::move(adv));
+      }
+      Recorder* rejoined = nullptr;
+      sim.schedule_restart(0, 1.25, 4.0, [&sim, &rejoined] {
+        auto rec = std::make_unique<Recorder>(sim);
+        rejoined = rec.get();
+        return rec;
+      });
+      sim.run_until(5.0);
+
+      if (threads > 1 && !with_adversary) EXPECT_GT(sim.parallel_windows(), 0u);
+      // Half of the honest-1 nodes still up, rounded up.
+      ASSERT_EQ(sim.nodes_corrupted(), honest / 2);
+      // The crashed node lost its late timer and its ticker, and the
+      // corruption (which only hits nodes that are up) passed it by.
+      EXPECT_FALSE(logs[0].corrupted);
+      EXPECT_EQ(logs[0].timers, (std::vector<RealTime>{1.0}));
+      EXPECT_EQ(logs[0].ticks, (std::vector<RealTime>{0.5, 1.0}));
+      ASSERT_NE(rejoined, nullptr);
+      EXPECT_TRUE(rejoined->started());
+      std::size_t victims = 0;
+      for (NodeId id = 1; id < honest; ++id) {
+        SCOPED_TRACE(testing::Message() << "node " << id);
+        const ProbeLog& p = logs[id];
+        victims += p.corrupted ? 1 : 0;
+        // A victim keeps its hardware ticker but loses the pending 3.0 timer;
+        // everyone else keeps both.
+        const std::vector<RealTime> kept =
+            p.corrupted ? std::vector<RealTime>{1.0} : std::vector<RealTime>{1.0, 3.0};
+        EXPECT_EQ(p.timers, kept);
+        EXPECT_EQ(p.ticks, all_ticks);
+      }
+      EXPECT_EQ(victims, sim.nodes_corrupted());
+      EXPECT_LT(victims, static_cast<std::size_t>(honest - 1));
+      if (adversary != nullptr) EXPECT_EQ(adversary->fired, (std::vector<RealTime>{3.0}));
+    }
+  }
+}
+
 TEST(Simulator, LateStartDropsEarlierMessages) {
   Simulator sim = make_sim(2, 0.01, 0.0);
   sim.set_process(0, std::make_unique<OneShotBroadcaster>());
