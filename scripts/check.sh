@@ -34,9 +34,12 @@
 #            workers diffed byte-identical against the unsharded run, the
 #            n=65536 expander auth grid (neighbors + sampled fan-out,
 #            sharded + byte-diffed), the sparse-fabric acceptance cell
-#            (auth n=1e5, expander k=16, sampled m=8, 120 s budget), and the
+#            (auth n=1e5, expander k=16, sampled m=8, 120 s budget), the
 #            same cell with delay=half on the parallel engine at
-#            sim_threads=8 (240 s budget, no sequential fallback).
+#            sim_threads=8 (240 s budget, no sequential fallback), and
+#            timer corruption at scale (auth_stab on the same n=1e5 fabric,
+#            every node's pending timers wiped at t=2.5, 120 s budget; the
+#            summary must show the run live and recovered with stab < 1 s).
 #   --asan   additionally build the tree under ASan+UBSan (its own build
 #            directory, <build-dir>-asan) and run the tier-1 ctest suite in
 #            it; any sanitizer report fails the gate.
@@ -292,6 +295,28 @@ JSON
     cat "$SCALE_TMP/parallel.err" >&2; exit 1
   fi
   echo "check.sh: scale smoke OK: sim_threads=8 n=1e5 sampled expander in budget"
+
+  # Timer corruption at scale: every node's pending timers are wiped at once.
+  # Each victim walks only its own node's timer table, which keeps the cell
+  # linear in the timers armed and inside the budget. auth_stab must stay
+  # live and re-enter the precision envelope within the first period after
+  # the event (the cell prints stab=0.05).
+  cat > "$SCALE_TMP/corrupt_timers.json" <<'JSON'
+{"base": {"protocol": "auth_stab", "n": 100000, "f": 0, "rho": 0.0001, "tdel": 0.01,
+          "period": 1.0, "initial_sync": 0.005, "seed": 1, "horizon": 5.0,
+          "drift": "rand-walk", "delay": "uniform", "topology": "expander",
+          "topology_seed": 1, "expander_k": 16, "broadcast_mode": "sampled",
+          "sample_size": 8, "corrupt_at": [2.5], "corrupt_fraction": 1.0,
+          "corrupt_kinds": "timers"}}
+JSON
+  timeout 120 "$BUILD_DIR/scenrun" "$SCALE_TMP/corrupt_timers.json" \
+    > "$SCALE_TMP/corrupt_timers.out" \
+    || { echo "check.sh: timer-corruption n=1e5 cell failed or blew its 120 s budget" >&2; exit 1; }
+  if ! grep -Eq ' live=1( .*)? stab=0(\.[0-9]+)? ' "$SCALE_TMP/corrupt_timers.out"; then
+    echo "check.sh: timer-corruption n=1e5 cell lost liveness or did not recover:" >&2
+    cat "$SCALE_TMP/corrupt_timers.out" >&2; exit 1
+  fi
+  echo "check.sh: scale smoke OK: timer corruption at n=1e5 in budget, live, recovered"
 fi
 
 if [[ "$RUN_ASAN" -eq 1 ]]; then

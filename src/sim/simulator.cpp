@@ -95,8 +95,6 @@ Simulator::Simulator(SimParams params, std::vector<HardwareClock> clocks,
                                   : 2 * params_.topology->edge_count() + 4 * n;
   constexpr std::size_t kQueueReserveCap = std::size_t{1} << 22;  // ~128 MB of slab
   queue_.reserve(std::min(reserve, kQueueReserveCap));
-  timer_states_.reserve(static_cast<std::size_t>(params_.n) * 4);
-  timer_owners_.reserve(static_cast<std::size_t>(params_.n) * 4);
 
   // nodes_ is sized exactly once; LogicalClock instances hold pointers into
   // their own Node's HardwareClock, so the vector must never reallocate.
@@ -160,10 +158,10 @@ void Simulator::schedule_restart(NodeId id, RealTime down_at, RealTime up_at,
              "schedule_restart: node must go down after it boots");
   ST_REQUIRE(up_at > down_at, "schedule_restart: rejoin must come after the crash");
   ST_REQUIRE(rebuild != nullptr, "schedule_restart: rebuild callback required");
-  for (const Restart& r : restarts_) {
-    ST_REQUIRE(r.node != id, "schedule_restart: node already has a restart scheduled");
-  }
-  restarts_.push_back(Restart{id, down_at, up_at, std::move(rebuild), 0});
+  ST_REQUIRE(nodes_[id].restart == kNoRestart,
+             "schedule_restart: node already has a restart scheduled");
+  nodes_[id].restart = static_cast<std::uint32_t>(restarts_.size());
+  restarts_.push_back(Restart{id, down_at, up_at, std::move(rebuild)});
 }
 
 bool Simulator::is_corrupt(NodeId id) const {
@@ -221,15 +219,15 @@ void Simulator::run_until(RealTime horizon) {
       if (node.corrupt || node.process == nullptr) continue;
       (void)arm_timer(id, node.start_time, TimerState::kArmedStart);
     }
-    for (Restart& restart : restarts_) {
+    for (const Restart& restart : restarts_) {
       ST_REQUIRE(nodes_[restart.node].process != nullptr,
                  "schedule_restart: node has no process installed");
-      restart.stop_timer = arm_timer(restart.node, restart.down_at, TimerState::kArmedStop);
+      (void)arm_timer(restart.node, restart.down_at, TimerState::kArmedStop);
     }
     // Corruption events are armed LAST among the internal timers: at a time
     // tie with a boot or a churn stop, the lifecycle transition applies
     // first and corruption scrambles the post-transition state (ties break
-    // by insertion order). The owner slot carries the event's index.
+    // by insertion order). TimerEvent::node carries the event's index.
     for (std::size_t c = 0; c < params_.corruptions.size(); ++c) {
       (void)arm_timer(static_cast<NodeId>(c), params_.corruptions[c].at,
                       TimerState::kArmedCorrupt);
@@ -240,125 +238,118 @@ void Simulator::run_until(RealTime horizon) {
   if (!par_checked_) maybe_enable_parallel();
   if (par_ != nullptr) {
     run_parallel(horizon);
-    now_ = std::max(now_, horizon);
-    return;
-  }
-
-  while (!queue_.empty() && queue_.next_time() <= horizon) {
-    ST_REQUIRE(++events_dispatched_ <= params_.max_events,
-               "Simulator: event budget exhausted (runaway protocol?)");
-    const Event ev = queue_.pop();
-    ST_ASSERT(ev.time >= now_, "Simulator: time went backwards");
-    now_ = ev.time;
-    dispatch(ev);
-    if (post_event_hook_) post_event_hook_(*this);
+  } else {
+    while (!queue_.empty() && queue_.next_time() <= horizon) step(queue_.pop());
   }
   now_ = std::max(now_, horizon);
 }
 
+void Simulator::step(const Event& ev) {
+  ST_REQUIRE(++events_dispatched_ <= params_.max_events,
+             "Simulator: event budget exhausted (runaway protocol?)");
+  ST_ASSERT(ev.time >= now_, "Simulator: time went backwards");
+  now_ = ev.time;
+  dispatch(ev);
+  if (post_event_hook_) post_event_hook_(*this);
+}
+
 void Simulator::dispatch(const Event& ev) {
-  if (ev.is_timer) {
-    const TimerId id = ev.timer.id;
-    TimerState& slot = timer_state(id);
-    const TimerState kind = slot;
-    slot = TimerState::kFired;  // each armed timer pops exactly once
-    switch (kind) {
-      case TimerState::kCancelled:
-        return;
-      case TimerState::kArmedStart: {
-        Node& node = nodes_[ev.timer.node];
-        node.started = true;
-        node.process->on_start(*node.ctx);
-        return;
-      }
-      case TimerState::kArmedStop: {
-        // Churn: the node crashes. Its pending timers die with it, messages
-        // addressed to it are lost while it is down (the `started` check in
-        // the delivery path), and a fresh process — built now, booted at the
-        // rejoin time through the ordinary start path — takes its place.
-        Restart* restart = nullptr;
-        for (Restart& r : restarts_) {
-          if (r.stop_timer == id) restart = &r;
-        }
-        ST_ASSERT(restart != nullptr, "Simulator: stop timer without a restart entry");
-        Node& node = nodes_[restart->node];
-        node.started = false;
-        // Protocol timers AND the hardware ticker die with the node: the
-        // ticker survives state corruption (it is hardware) but not the
-        // machine itself going down. A rebuilt process restarts its own.
-        for (TimerId t = 1; t < next_timer_id_; ++t) {
-          if ((timer_states_[t - 1] == TimerState::kArmedProcess ||
-               timer_states_[t - 1] == TimerState::kArmedTick) &&
-              timer_owners_[t - 1] == restart->node) {
-            timer_states_[t - 1] = TimerState::kCancelled;
-          }
-        }
-        for (TimerState& st : node.par_timers) {
-          if (st == TimerState::kArmedProcess || st == TimerState::kArmedTick) {
-            st = TimerState::kCancelled;
-          }
-        }
-        node.ticker_interval = 0;
-        node.process = restart->rebuild();
-        ST_REQUIRE(node.process != nullptr, "schedule_restart: rebuild returned no process");
-        (void)arm_timer(restart->node, restart->up_at, TimerState::kArmedStart);
-        return;
-      }
-      case TimerState::kArmedEpoch: {
-        // Topology epoch boundary: swap the live graph and tell the delay
-        // policy. Boundaries fire in epoch order (armed ascending at start),
-        // so the owner slot's epoch index only ever moves forward.
-        epoch_ = timer_owners_[static_cast<std::size_t>(id - 1)];
-        topo_now_ = params_.schedule->epoch_graph(epoch_).get();
-        delays_->on_topology_change(*topo_now_, now_);
-        return;
-      }
-      case TimerState::kArmedCorrupt:
-        apply_corruption(timer_owners_[static_cast<std::size_t>(id - 1)]);
-        return;
-      case TimerState::kArmedTick: {
-        Node& node = nodes_[ev.timer.node];
-        if (node.process == nullptr || !node.started || node.ticker_interval <= 0) return;
-        // Re-arm BEFORE the callback (a periodic interrupt, not a one-shot):
-        // the protocol cannot cancel or corrupt it away.
-        (void)arm_timer(ev.timer.node,
-                        node.hw->when_reads(node.hw->read(now_) + node.ticker_interval),
-                        TimerState::kArmedTick);
-        node.process->on_tick(*node.ctx);
-        return;
-      }
-      case TimerState::kArmedAdversary:
-        if (adversary_ != nullptr) adversary_->on_timer(*adv_ctx_, id);
-        return;
-      case TimerState::kArmedProcess: {
-        Node& node = nodes_[ev.timer.node];
-        if (node.process != nullptr && node.started) node.process->on_timer(*node.ctx, id);
-        return;
-      }
-      case TimerState::kFired:
-        ST_ASSERT(kind != TimerState::kFired, "Simulator: timer dispatched twice");
-        return;
+  if (!ev.is_timer) {
+    const DeliveryEvent& d = ev.delivery;
+    counters_.on_deliver(message_kind(*d.msg));
+    if (!nodes_[d.to].corrupt) {
+      if (!run_node_event(ev)) ++messages_dropped_;
+    } else if (adversary_ != nullptr) {
+      adversary_->on_message(*adv_ctx_, d.to, d.from, *d.msg);
     }
     return;
   }
+  if (!fleet_wide(ev.timer.id)) {
+    (void)run_node_event(ev);
+    return;
+  }
+  switch (take_timer(ev.timer.id)) {
+    case TimerState::kArmedStop: {
+      // Churn: the node crashes. Its pending timers die with it, messages
+      // addressed to it are lost while it is down (the `started` check in
+      // the delivery path), and a fresh process — built now, booted at the
+      // rejoin time through the ordinary start path — takes its place.
+      const NodeId id = ev.timer.node;
+      Node& node = nodes_[id];
+      const Restart& restart = restarts_[node.restart];
+      node.started = false;
+      // Protocol timers AND the hardware ticker die with the node: the
+      // ticker survives state corruption (it is hardware) but not the
+      // machine itself going down. A rebuilt process restarts its own.
+      for (TimerState& st : node.timers) {
+        if (st == TimerState::kArmedProcess || st == TimerState::kArmedTick) {
+          st = TimerState::kCancelled;
+        }
+      }
+      node.ticker_interval = 0;
+      node.process = restart.rebuild();
+      ST_REQUIRE(node.process != nullptr, "schedule_restart: rebuild returned no process");
+      (void)arm_timer(id, restart.up_at, TimerState::kArmedStart);
+      return;
+    }
+    case TimerState::kArmedEpoch:
+      // Topology epoch boundary: swap the live graph and tell the delay
+      // policy. Boundaries fire in epoch order (armed ascending at start),
+      // so the epoch index only ever moves forward.
+      epoch_ = ev.timer.node;
+      topo_now_ = params_.schedule->epoch_graph(epoch_).get();
+      delays_->on_topology_change(*topo_now_, now_);
+      return;
+    case TimerState::kArmedCorrupt:
+      apply_corruption(ev.timer.node);
+      return;
+    case TimerState::kArmedAdversary:
+      if (adversary_ != nullptr) adversary_->on_timer(*adv_ctx_, ev.timer.id);
+      return;
+    default:  // a cancelled adversary timer
+      return;
+  }
+}
 
-  const DeliveryEvent& d = ev.delivery;
-  counters_.on_deliver(message_kind(*d.msg));
-  Node& node = nodes_[d.to];
-  if (node.corrupt) {
-    if (adversary_ != nullptr) adversary_->on_message(*adv_ctx_, d.to, d.from, *d.msg);
-    return;
+bool Simulator::run_node_event(const Event& ev) {
+  if (!ev.is_timer) {
+    const DeliveryEvent& d = ev.delivery;
+    Node& node = nodes_[d.to];
+    // A wiped receive buffer: messages already in flight toward this node
+    // when a corruption event hit were part of the scrambled memory image
+    // and are lost on arrival.
+    if (d.sent_at < node.purge_before) return false;
+    // Messages addressed to a node that has not booted yet are lost (the
+    // node was down); the integration protocol exists precisely for this.
+    if (node.process != nullptr && node.started) {
+      node.process->on_message(*node.ctx, d.from, *d.msg);
+    }
+    return true;
   }
-  // A wiped receive buffer: messages already in flight toward this node when
-  // a corruption event hit were part of the scrambled memory image and are
-  // lost on arrival.
-  if (d.sent_at < node.purge_before) {
-    ++messages_dropped_;
-    return;
+  const NodeId id = ev.timer.node;
+  Node& node = nodes_[id];
+  switch (take_timer(ev.timer.id)) {
+    case TimerState::kCancelled:
+      break;  // still an event: counted and hooked
+    case TimerState::kArmedStart:
+      node.started = true;
+      node.process->on_start(*node.ctx);
+      break;
+    case TimerState::kArmedTick:
+      if (node.process == nullptr || !node.started || node.ticker_interval <= 0) break;
+      // Re-arm BEFORE the callback (a periodic interrupt, not a one-shot):
+      // the protocol cannot cancel or corrupt it away.
+      (void)arm_timer(id, node.hw->when_reads(node.hw->read(ev.time) + node.ticker_interval),
+                      TimerState::kArmedTick);
+      node.process->on_tick(*node.ctx);
+      break;
+    case TimerState::kArmedProcess:
+      if (node.process != nullptr && node.started) node.process->on_timer(*node.ctx, ev.timer.id);
+      break;
+    default:
+      ST_ASSERT(false, "Simulator: fleet-wide timer on the node-local path");
   }
-  // Messages addressed to a node that has not booted yet are lost (the node
-  // was down); the integration protocol exists precisely for this.
-  if (node.process != nullptr && node.started) node.process->on_message(*node.ctx, d.from, *d.msg);
+  return true;
 }
 
 void Simulator::honest_send(NodeId from, NodeId to, const Message& m) {
@@ -383,7 +374,7 @@ void Simulator::honest_send(NodeId from, NodeId to, std::shared_ptr<const Messag
   counters_.on_send(message_kind(*msg), message_size_bytes(*msg));
 
   Duration delay = 0;
-  if (to != from && !nodes_[to].corrupt) {
+  if (to != from && !corrupt_recipient(to)) {
     delay = delays_->delay(from, to, now_, params_.tdel, *net_rng_);
     if (delay == kDropMessage) {
       // The policy partitioned this link: the message is lost in transit.
@@ -392,6 +383,7 @@ void Simulator::honest_send(NodeId from, NodeId to, std::shared_ptr<const Messag
     }
     ST_ASSERT(delay >= 0 && delay <= params_.tdel,
               "DelayPolicy returned a delay outside [0, tdel]");
+    ST_ASSERT(delay >= lookahead_, "DelayPolicy violated its min_delay() lookahead contract");
   }
   // Self-delivery and delivery to corrupted nodes (rushing adversary) are
   // immediate; both are within the model's [0, tdel].
@@ -415,11 +407,16 @@ void Simulator::adversary_send(NodeId from, NodeId to, std::shared_ptr<const Mes
 }
 
 TimerId Simulator::arm_timer(NodeId node, RealTime fire_at, TimerState kind) {
-  if (in_worker()) return par_arm_timer(node, fire_at, kind);
-  const TimerId id = next_timer_id_++;
-  timer_states_.push_back(kind);
-  timer_owners_.push_back(node);
-  queue_.push_timer(std::max(fire_at, now_), TimerEvent{node, id});
+  const bool fleet = kind == TimerState::kArmedEpoch || kind == TimerState::kArmedCorrupt ||
+                     kind == TimerState::kArmedAdversary;
+  std::vector<TimerState>& table = fleet ? fleet_timers_ : nodes_[node].timers;
+  const TimerId id = (TimerId{fleet ? kFleetOwner : node} << 32) | (table.size() + 1);
+  table.push_back(kind);
+  if (in_worker()) {
+    par_schedule_timer(node, fire_at, id);
+  } else {
+    queue_.push_timer(std::max(fire_at, now_), TimerEvent{node, id});
+  }
   return id;
 }
 
@@ -437,15 +434,25 @@ void Simulator::cancel_timer(TimerId id) {
 }
 
 Simulator::TimerState& Simulator::timer_state(TimerId id) {
-  if (id & kParTimerBit) {
-    const NodeId node = par_timer_node(id);
-    const std::size_t k = par_timer_index(id);
-    ST_REQUIRE(node < params_.n && k < nodes_[node].par_timers.size(),
-               "Simulator: unknown timer id");
-    return nodes_[node].par_timers[k];
-  }
-  ST_REQUIRE(id >= 1 && id < next_timer_id_, "Simulator: unknown timer id");
-  return timer_states_[static_cast<std::size_t>(id - 1)];
+  const auto owner = static_cast<NodeId>(id >> 32);
+  // Index + 1 sits in the low half: an id of 0 wraps to an index no table has.
+  const std::size_t index = static_cast<std::size_t>(id & 0xffffffffu) - 1;
+  ST_REQUIRE(owner == kFleetOwner || owner < params_.n, "Simulator: unknown timer id");
+  std::vector<TimerState>& table = owner == kFleetOwner ? fleet_timers_ : nodes_[owner].timers;
+  ST_REQUIRE(index < table.size(), "Simulator: unknown timer id");
+  return table[index];
+}
+
+Simulator::TimerState Simulator::take_timer(TimerId id) {
+  TimerState& slot = timer_state(id);
+  const TimerState kind = slot;
+  ST_ASSERT(kind != TimerState::kFired, "Simulator: timer dispatched twice");
+  slot = TimerState::kFired;
+  return kind;
+}
+
+bool Simulator::fleet_wide(TimerId id) {
+  return (id >> 32) == kFleetOwner || timer_state(id) == TimerState::kArmedStop;
 }
 
 void Simulator::start_ticker(NodeId id, Duration hw_interval) {
@@ -491,12 +498,7 @@ void Simulator::apply_corruption(std::size_t idx) {
     if (ev.kinds & kCorruptTimers) {
       // Pending protocol timers are memory; they vanish exactly like on a
       // churn crash. The hardware ticker (kArmedTick) survives.
-      for (TimerId t = 1; t < next_timer_id_; ++t) {
-        if (timer_states_[t - 1] == TimerState::kArmedProcess && timer_owners_[t - 1] == id) {
-          timer_states_[t - 1] = TimerState::kCancelled;
-        }
-      }
-      for (TimerState& st : node.par_timers) {
+      for (TimerState& st : node.timers) {
         if (st == TimerState::kArmedProcess) st = TimerState::kCancelled;
       }
     }

@@ -202,21 +202,23 @@ class Simulator {
   friend class Context;
   friend class AdversaryContext;
 
-  /// Lifecycle of one timer id in the flat state table. Armed states encode
-  /// the dispatch target; a fired or cancel-consumed timer is retired to
-  /// kFired, so the table holds exactly one byte per timer ever armed and no
-  /// tombstone set can grow unboundedly.
+  /// Lifecycle of one timer in its table. Armed states encode the dispatch
+  /// target; a fired or cancel-consumed timer is retired to kFired, so a
+  /// table holds exactly one byte per timer ever armed and no tombstone set
+  /// can grow unboundedly.
   enum class TimerState : std::uint8_t {
     kArmedProcess,
     kArmedStart,
     kArmedStop,  // churn: node goes down, replacement armed for the rejoin
     kArmedAdversary,
-    kArmedEpoch,    // topology schedule: the owner slot holds the epoch index
-    kArmedCorrupt,  // corruption event: the owner slot holds the event index
+    kArmedEpoch,    // topology schedule: TimerEvent::node holds the epoch index
+    kArmedCorrupt,  // corruption event: TimerEvent::node holds the event index
     kArmedTick,     // hardware ticker: auto re-arms, immune to corruption
     kCancelled,
     kFired,
   };
+
+  static constexpr std::uint32_t kNoRestart = 0xffffffffu;
 
   struct Node {
     std::optional<HardwareClock> hw;
@@ -225,6 +227,8 @@ class Simulator {
     std::optional<Context> ctx;
     std::optional<Rng> rng;
     bool corrupt = false;
+    /// Index of this node's churn restart in restarts_ (kNoRestart = none).
+    std::uint32_t restart = kNoRestart;
     RealTime start_time = 0;
     bool started = false;
     /// Corrupted receive buffer: deliveries sent strictly before this real
@@ -233,29 +237,18 @@ class Simulator {
     RealTime purge_before = -1;
     /// Hardware ticker interval (0 = no ticker; see Context::start_ticker).
     Duration ticker_interval = 0;
-    /// States of this node's parallel-allocated timers (see kParTimerBit):
-    /// workers cannot consume the global sequential id counter, so timers
-    /// armed inside a window get (node, index-in-this-table) ids instead.
-    /// Timer id VALUES therefore differ between the engines — they are
-    /// opaque handles and never surface in any metric. Always empty in
-    /// sequential runs.
-    std::vector<TimerState> par_timers;
+    /// This node's timer table: the state of every process, start, stop
+    /// and tick timer it ever armed. Only the node's own handlers arm into
+    /// it, so in a parallel window the worker that owns the node is its
+    /// only writer, and a churn stop or a corruption victim walks just this.
+    std::vector<TimerState> timers;
   };
 
-  /// Parallel timer ids: top bit set, owner node in bits [32, 63), index
-  /// into the node's par_timers table below. Sequential ids never collide
-  /// (they stay far below 2^63).
-  static constexpr TimerId kParTimerBit = TimerId{1} << 63;
-  [[nodiscard]] static TimerId par_timer_id(NodeId node, std::size_t index) {
-    return kParTimerBit | (static_cast<TimerId>(node) << 32) |
-           static_cast<TimerId>(index);
-  }
-  [[nodiscard]] static NodeId par_timer_node(TimerId id) {
-    return static_cast<NodeId>((id >> 32) & 0x7fffffffu);
-  }
-  [[nodiscard]] static std::size_t par_timer_index(TimerId id) {
-    return static_cast<std::size_t>(id & 0xffffffffu);
-  }
+  /// Timer ids are (owner, index) handles in both engines: the owner in the
+  /// high 32 bits, index + 1 into the owner's table in the low 32 (so no id
+  /// is 0). The owner is a node, or kFleetOwner for fleet_timers_. Ids are
+  /// opaque and never surface in any metric.
+  static constexpr NodeId kFleetOwner = 0xffffffffu;
 
   /// One scheduled churn restart (schedule_restart).
   struct Restart {
@@ -263,10 +256,18 @@ class Simulator {
     RealTime down_at = 0;
     RealTime up_at = 0;
     ProcessBuilder rebuild;
-    TimerId stop_timer = 0;  // assigned when the simulation starts
   };
 
+  /// Counts `ev` against the budget, advances the clock to it, dispatches
+  /// it and runs the post-event hook: the one sequential step, shared by
+  /// run_until, the parallel engine's barriers and its no-window fallback.
+  void step(const Event& ev);
   void dispatch(const Event& ev);
+  /// The node-local event path, shared by both engines: a delivery to an
+  /// honest node, or one of its start, tick, process or cancelled timers.
+  /// Returns false when a delivery hit a wiped receive buffer (the caller
+  /// counts the drop).
+  bool run_node_event(const Event& ev);
 
   // Context plumbing.
   /// Unicast entry point: checks the topology link (off-graph sends drop).
@@ -292,12 +293,27 @@ class Simulator {
   /// insertion order in every fan-out.
   template <typename Visit>
   void for_each_recipient(NodeId from, Visit&& visit);
+  /// True when `to` is a corrupted node, whose deliveries are immediate. A
+  /// run without corrupted nodes answers without reading `to`'s Node, a
+  /// cache miss per send at scale.
+  [[nodiscard]] bool corrupt_recipient(NodeId to) const {
+    return honest_ids_.size() != params_.n && nodes_[to].corrupt;
+  }
   void adversary_send(NodeId from, NodeId to, std::shared_ptr<const Message> msg,
                       RealTime deliver_at);
+  /// Arms a timer of `kind`. Node-owned kinds go into node `node`'s table;
+  /// epoch, corruption and adversary timers go into fleet_timers_, and
+  /// `node` is then their payload index (TimerEvent::node carries it).
   TimerId arm_timer(NodeId node, RealTime fire_at,
                     TimerState kind = TimerState::kArmedProcess);
   void cancel_timer(TimerId id);
   [[nodiscard]] TimerState& timer_state(TimerId id);
+  /// Reads and retires a timer's state: each armed timer pops exactly once.
+  TimerState take_timer(TimerId id);
+  /// True for the timers that act on the whole fleet (fleet-owned, or a
+  /// churn stop): the sequential path dispatches them, and in a parallel
+  /// run they close the window.
+  [[nodiscard]] bool fleet_wide(TimerId id);
   void start_ticker(NodeId id, Duration hw_interval);
   /// Fires corruption event `idx`: picks the victim subset with the
   /// dedicated corruption stream and scrambles each victim's memory.
@@ -315,7 +331,7 @@ class Simulator {
   // they buffer ops into the owning worker instead of touching shared state.
   void par_unicast(NodeId from, NodeId to, const Message& m);
   void par_broadcast(NodeId from, const Message& m);
-  TimerId par_arm_timer(NodeId node, RealTime fire_at, TimerState kind);
+  void par_schedule_timer(NodeId node, RealTime fire_at, TimerId id);
   // Slow paths of the observation API (parallel runs only).
   [[nodiscard]] bool observe_started_slow(NodeId id) const;
   [[nodiscard]] LocalTime observe_logical_slow(NodeId id, RealTime t) const;
@@ -347,14 +363,8 @@ class Simulator {
   bool started_ = false;
   std::uint64_t events_dispatched_ = 0;
   std::uint64_t messages_dropped_ = 0;
-  TimerId next_timer_id_ = 1;
-  /// Flat timer-state table, indexed by TimerId - 1 (ids are allocated
-  /// sequentially from 1); replaces the cancelled/start/adversary lookup
-  /// maps with one byte-per-timer array access.
-  std::vector<TimerState> timer_states_;
-  /// Owner of each armed timer (parallel to timer_states_): lets a churn
-  /// stop event cancel exactly the departing node's pending process timers.
-  std::vector<NodeId> timer_owners_;
+  /// Epoch, corruption and adversary timers (a handful per run).
+  std::vector<TimerState> fleet_timers_;
   std::vector<Restart> restarts_;
   std::optional<Rng> net_rng_;
   /// Corruption draws come from their own stream, derived from the seed but
@@ -386,6 +396,9 @@ class Simulator {
     void operator()(ParEngine* e) const;
   };
   std::unique_ptr<ParEngine, ParEngineDeleter> par_;
+  /// The parallel window length, delay_->min_delay(tdel); 0 when the run is
+  /// sequential. Every honest cross-node delay must reach it.
+  Duration lookahead_ = 0;
   bool par_checked_ = false;
   std::uint64_t parallel_windows_ = 0;
 };

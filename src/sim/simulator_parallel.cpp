@@ -20,15 +20,18 @@
 ///
 ///  1. drains one window of events off the queue (the "roots"),
 ///  2. groups them by owning node and executes each node's share on a worker
-///     pool — handlers run for real against node-local state (clocks,
-///     process memory, RNG), while every side effect that touches shared
-///     state (sends, timer pushes, counters, RNG draws from the shared
-///     net/bcast streams) is buffered into per-worker op logs, and
+///     pool through the sequential engine's own node-local path
+///     (Simulator::run_node_event) — handlers run for real against
+///     node-local state (clocks, process memory, RNG, the node's timer
+///     table), while every side effect that touches shared state (sends,
+///     timer pushes, counters, RNG draws from the shared net/bcast streams)
+///     is buffered into per-worker op logs, and
 ///  3. replays the logs on the main thread in the exact (time, seq) order
-///     the sequential engine would have used, assigning queue sequence
-///     numbers at replay time — so delays are drawn in the canonical order,
-///     pushes get the canonical seqs, counters advance event by event, and
-///     the post-event hook observes the same intermediate states.
+///     the sequential engine would have used, with the clock at each
+///     event's time, assigning queue sequence numbers at replay time — so
+///     sends go through honest_send and draw their delays in the canonical
+///     order, pushes get the canonical seqs, counters advance event by
+///     event, and the post-event hook observes the same intermediate states.
 ///
 /// Same-node effects that land inside the window (self-deliveries, timers
 /// firing before the window closes) are executed *in* the window by the
@@ -39,7 +42,7 @@
 ///
 /// Fleet-wide events — churn stops, topology epochs, corruption events —
 /// are barriers: the drain stops at one, everything before it runs in
-/// parallel, and the barrier itself dispatches sequentially after the
+/// parallel, and the barrier itself runs as one sequential step after the
 /// commit. Children spawned at or past the barrier's time are deferred to
 /// commit-time queue pushes rather than executed locally, because
 /// sequentially they would run after the barrier (its seq is older).
@@ -64,11 +67,11 @@ struct Simulator::ParEngine {
   /// One buffered side effect, replayed on the main thread at commit in the
   /// recording order (which is the handler's issuing order).
   enum class OpKind : std::uint8_t {
-    kSendLink,       ///< cross-node send: on_send, delay draw, push or drop
-    kSendSelfPush,   ///< self-delivery deferred past a barrier: on_send, push
+    kSendPush,       ///< replayed through honest_send: a cross-node send, or a
+                     ///< self-delivery at or past a barrier's time
+    kSendDropNoLink, ///< unicast without a link: honest_send's link check drops it
     kSendLocal,      ///< self-delivery executed in-window: on_send, take_seq
-    kSendDropNoLink, ///< unicast without a link: on_send, count the drop
-    kTimerPush,      ///< timer beyond the window: push_timer with its par id
+    kTimerPush,      ///< timer beyond the window: push_timer with its id
     kTimerLocal,     ///< timer executed in-window: take_seq
     kSampledBcast,   ///< sampled fan-out: peer draws happen at commit
   };
@@ -77,28 +80,35 @@ struct Simulator::ParEngine {
     OpKind kind;
     NodeId to = 0;                  ///< recipient / timer owner
     std::uint32_t child = kNoIndex; ///< in-window child rec (kSendLocal/kTimerLocal/self of kSampledBcast)
-    RealTime fire_at = 0;           ///< push time for deferred pushes
-    TimerId timer = 0;              ///< kTimerPush/kTimerLocal: the parallel timer id
+    RealTime fire_at = 0;           ///< kTimerPush: push time
+    TimerId timer = 0;              ///< kTimerPush: the timer id
     std::shared_ptr<const Message> msg;
   };
 
   /// One executed event: a drained root or an in-window child. Roots carry
   /// their queue seq; children get theirs at commit (take_seq), exactly when
   /// the sequential engine would have pushed them.
+  /// Kept flat rather than holding an Event: a window's recs are the
+  /// engine's largest buffer, and an Event carries both payloads.
   struct Rec {
     RealTime time = 0;
     std::uint64_t seq = 0;
-    NodeId node = 0;
-    bool is_timer = false;
-    bool purge_dropped = false; ///< delivery hit the node's wiped buffer
-    bool has_obs = false;       ///< an ObsChange entry was recorded for this rec
+    NodeId node = 0;            ///< the node the event runs on
+    NodeId from = 0;            ///< delivery sender
     TimerId timer_id = 0;
-    NodeId from = 0;
     RealTime sent_at = 0;
-    std::shared_ptr<const Message> msg;
+    std::shared_ptr<const Message> msg;  ///< delivery payload; null for timers
     std::uint32_t ops_begin = 0;
     std::uint32_t ops_end = 0;
     std::uint32_t next_in_node = kNoIndex; ///< root chain within the node
+    bool purge_dropped = false; ///< delivery hit the node's wiped buffer
+    bool has_obs = false;       ///< an ObsChange entry was recorded for this rec
+
+    [[nodiscard]] bool is_timer() const { return msg == nullptr; }
+    [[nodiscard]] Event event() const {
+      if (is_timer()) return Event{time, seq, true, TimerEvent{node, timer_id}, {}};
+      return Event{time, seq, false, {}, DeliveryEvent{node, from, msg, sent_at}};
+    }
   };
 
   /// Pre-state snapshot taken whenever a rec changes the node's observable
@@ -149,8 +159,9 @@ struct Simulator::ParEngine {
   };
 
   Simulator* sim;
-  Duration lookahead;
   std::uint32_t nworkers;
+  /// One slot per worker thread, plus workers[nworkers]: the commit phase's
+  /// inert recs (deliveries to crashed nodes), which only ever replay.
   std::vector<Worker> workers;
 
   // Per-node routing state, generation-marked so a window touching k nodes
@@ -173,8 +184,8 @@ struct Simulator::ParEngine {
   std::uint32_t running = 0;
   bool shutdown = false;
 
-  ParEngine(Simulator* s, Duration look, std::uint32_t nthreads)
-      : sim(s), lookahead(look), nworkers(nthreads), workers(nthreads) {
+  ParEngine(Simulator* s, std::uint32_t nthreads)
+      : sim(s), nworkers(nthreads), workers(nthreads + 1) {
     const std::size_t n = s->params_.n;
     node_worker.resize(n);
     chain_head.resize(n);
@@ -248,11 +259,11 @@ struct Simulator::ParEngine {
     }
 
     const RealTime t0 = S.queue_.next_time();
-    RealTime bound = t0 + lookahead;
+    RealTime bound = t0 + S.lookahead_;
     if (!(bound > t0)) {
       // Float edge: t0 so large the lookahead rounds away entirely. One
       // sequential step makes progress instead of spinning on empty windows.
-      sequential_step();
+      S.step(S.queue_.pop());
       return;
     }
     window_horizon = horizon;
@@ -261,18 +272,14 @@ struct Simulator::ParEngine {
     Event barrier_ev;
     Event ev;
     while (S.queue_.pop_window(bound, horizon, ev)) {
-      if (ev.is_timer) {
-        const TimerState st = S.timer_state(ev.timer.id);
-        if (st == TimerState::kArmedStop || st == TimerState::kArmedEpoch ||
-            st == TimerState::kArmedCorrupt || st == TimerState::kArmedAdversary) {
-          // Fleet-wide event: close the window here. Everything drained so
-          // far precedes it in (time, seq) order; children at or past its
-          // time defer to the queue (window_bound shrinks to the barrier).
-          have_barrier = true;
-          barrier_ev = ev;
-          bound = ev.time;
-          break;
-        }
+      if (ev.is_timer && S.fleet_wide(ev.timer.id)) {
+        // Fleet-wide event: close the window here. Everything drained so
+        // far precedes it in (time, seq) order; children at or past its
+        // time defer to the queue (window_bound shrinks to the barrier).
+        have_barrier = true;
+        barrier_ev = ev;
+        bound = ev.time;
+        break;
       }
       route_root(std::move(ev));
     }
@@ -286,24 +293,7 @@ struct Simulator::ParEngine {
       replay();
     }
 
-    if (have_barrier) {
-      ST_REQUIRE(++S.events_dispatched_ <= S.params_.max_events,
-                 "Simulator: event budget exhausted (runaway protocol?)");
-      S.now_ = barrier_ev.time;
-      S.dispatch(barrier_ev);
-      if (S.post_event_hook_) S.post_event_hook_(S);
-    }
-  }
-
-  /// The sequential engine's step, verbatim, for windows that cannot open.
-  void sequential_step() {
-    Simulator& S = *sim;
-    ST_REQUIRE(++S.events_dispatched_ <= S.params_.max_events,
-               "Simulator: event budget exhausted (runaway protocol?)");
-    const Event ev = S.queue_.pop();
-    S.now_ = ev.time;
-    S.dispatch(ev);
-    if (S.post_event_hook_) S.post_event_hook_(S);
+    if (have_barrier) S.step(barrier_ev);
   }
 
   void route_root(Event&& ev) {
@@ -322,7 +312,6 @@ struct Simulator::ParEngine {
     rec.time = ev.time;
     rec.seq = ev.seq;
     rec.node = v;
-    rec.is_timer = ev.is_timer;
     if (ev.is_timer) {
       rec.timer_id = ev.timer.id;
     } else {
@@ -354,6 +343,10 @@ struct Simulator::ParEngine {
     sim->tls_leave_worker();
   }
 
+  static bool heap_after(const HeapEntry& a, const HeapEntry& b) {
+    return a.time != b.time ? a.time > b.time : a.rank > b.rank;
+  }
+
   /// Executes node v's window share: the root chain (already (time, seq)
   /// sorted — drain order) merged with the in-window children it spawns.
   /// Roots win time ties (their seqs predate any commit-assigned child seq);
@@ -362,9 +355,6 @@ struct Simulator::ParEngine {
     Worker& wk = workers[w];
     const auto obs_begin = static_cast<std::uint32_t>(wk.obs.size());
     wk.heap.clear();
-    const auto heap_after = [](const HeapEntry& a, const HeapEntry& b) {
-      return a.time != b.time ? a.time > b.time : a.rank > b.rank;
-    };
     std::uint32_t root = chain_head[v];
     while (root != kNoIndex || !wk.heap.empty()) {
       std::uint32_t r;
@@ -386,69 +376,30 @@ struct Simulator::ParEngine {
     obs_gen[v] = gen;
   }
 
+  /// Runs one rec through the shared node-local path, bracketed by the
+  /// observable-state snapshot the replay needs.
   void exec_rec(std::uint32_t w, std::uint32_t r) {
     Worker& wk = workers[w];
-    const RealTime time = wk.recs[r].time;
+    const Event ev = wk.recs[r].event();  // a copy: spawns may grow wk.recs
     const NodeId v = wk.recs[r].node;
-    sim->tls_set_worker_now(time);
+    sim->tls_set_worker_now(ev.time);
     Node& node = sim->nodes_[v];
 
     const bool pre_started = node.started;
     const bool pre_include = sim->include_probe_ == nullptr || sim->include_probe_(v);
     const std::uint64_t pre_adj = node.logical->adjustment_count();
-    const LocalTime pre_value = node.logical->read(time);
+    const LocalTime pre_value = node.logical->read(ev.time);
     wk.cur_rec = r;
     wk.recs[r].ops_begin = static_cast<std::uint32_t>(wk.ops.size());
-
-    if (!wk.recs[r].is_timer) {
-      if (wk.recs[r].sent_at < node.purge_before) {
-        // Wiped in-flight buffer; the drop is *counted* at replay so
-        // messages_dropped_ advances in sequential order.
-        wk.recs[r].purge_dropped = true;
-      } else if (node.process != nullptr && node.started) {
-        // Keep the payload alive across rec-vector growth from spawns.
-        const std::shared_ptr<const Message> msg = wk.recs[r].msg;
-        const NodeId from = wk.recs[r].from;
-        node.process->on_message(*node.ctx, from, *msg);
-      }
-    } else {
-      const TimerId id = wk.recs[r].timer_id;
-      TimerState& slot = sim->timer_state(id);
-      const TimerState kind = slot;
-      slot = TimerState::kFired;  // owner-only byte write; each id pops once
-      switch (kind) {
-        case TimerState::kCancelled:
-          break;  // still an event: counted and hooked at replay
-        case TimerState::kArmedStart:
-          node.started = true;
-          node.process->on_start(*node.ctx);
-          break;
-        case TimerState::kArmedTick:
-          if (node.process != nullptr && node.started && node.ticker_interval > 0) {
-            // Re-arm before the callback, like the sequential dispatcher.
-            (void)sim->arm_timer(
-                v, node.hw->when_reads(node.hw->read(time) + node.ticker_interval),
-                TimerState::kArmedTick);
-            node.process->on_tick(*node.ctx);
-          }
-          break;
-        case TimerState::kArmedProcess:
-          if (node.process != nullptr && node.started) {
-            node.process->on_timer(*node.ctx, id);
-          }
-          break;
-        default:
-          ST_ASSERT(kind == TimerState::kCancelled,
-                    "parallel worker executed a fleet-wide (barrier) timer");
-          break;
-      }
-    }
-
+    // A wiped-buffer drop is *counted* at replay, so messages_dropped_
+    // advances in sequential order.
+    wk.recs[r].purge_dropped = !sim->run_node_event(ev);
     wk.recs[r].ops_end = static_cast<std::uint32_t>(wk.ops.size());
+
     const bool post_include = sim->include_probe_ == nullptr || sim->include_probe_(v);
     const bool clock_changed = node.logical->adjustment_count() != pre_adj;
     if (node.started != pre_started || post_include != pre_include || clock_changed) {
-      wk.obs.push_back(ObsChange{time, pre_value, pre_started, pre_include, clock_changed});
+      wk.obs.push_back(ObsChange{ev.time, pre_value, pre_started, pre_include, clock_changed});
       wk.recs[r].has_obs = true;
     }
   }
@@ -457,69 +408,53 @@ struct Simulator::ParEngine {
 
   Worker& cur() { return workers[t_worker_index]; }
 
-  std::uint32_t spawn_delivery(Worker& wk, NodeId to, NodeId from, RealTime time,
-                               const std::shared_ptr<const Message>& msg) {
+  /// Appends an in-window child rec and queues it in the worker's exec
+  /// order.
+  std::uint32_t spawn(Worker& wk, Rec rec) {
     const auto idx = static_cast<std::uint32_t>(wk.recs.size());
+    wk.heap.push_back(HeapEntry{rec.time, wk.spawn_rank++, idx});
+    std::push_heap(wk.heap.begin(), wk.heap.end(), heap_after);
+    wk.recs.push_back(std::move(rec));
+    return idx;
+  }
+
+  /// A delivery sent at `time` and due at once: a self-delivery, or one to
+  /// a crashed node.
+  static Rec immediate_delivery(NodeId to, NodeId from, RealTime time,
+                                std::shared_ptr<const Message> msg) {
     Rec rec;
     rec.time = time;
     rec.node = to;
-    rec.is_timer = false;
     rec.from = from;
     rec.sent_at = time;
-    rec.msg = msg;
-    wk.recs.push_back(std::move(rec));
-    wk.heap.push_back(HeapEntry{time, wk.spawn_rank++, idx});
-    std::push_heap(wk.heap.begin(), wk.heap.end(), [](const HeapEntry& a, const HeapEntry& b) {
-      return a.time != b.time ? a.time > b.time : a.rank > b.rank;
-    });
-    return idx;
+    rec.msg = std::move(msg);
+    return rec;
   }
 
-  std::uint32_t spawn_timer(Worker& wk, NodeId v, RealTime fire, TimerId id) {
-    const auto idx = static_cast<std::uint32_t>(wk.recs.size());
-    Rec rec;
-    rec.time = fire;
-    rec.node = v;
-    rec.is_timer = true;
-    rec.timer_id = id;
-    wk.recs.push_back(std::move(rec));
-    wk.heap.push_back(HeapEntry{fire, wk.spawn_rank++, idx});
-    std::push_heap(wk.heap.begin(), wk.heap.end(), [](const HeapEntry& a, const HeapEntry& b) {
-      return a.time != b.time ? a.time > b.time : a.rank > b.rank;
-    });
-    return idx;
-  }
-
-  void op_send_peer(NodeId to, std::shared_ptr<const Message> msg) {
-    cur().ops.push_back(Op{OpKind::kSendLink, to, kNoIndex, 0, 0, std::move(msg)});
-  }
-
-  void op_send_self(NodeId self, std::shared_ptr<const Message> msg) {
-    Worker& wk = cur();
+  /// The self-delivery of a send made now. Inside the window it executes
+  /// here, in this node's order, and the commit assigns its seq at the
+  /// moment the push would have happened. At or past a barrier's time it
+  /// sequentially runs after the barrier (whose seq is older), so it goes
+  /// through the queue instead: kNoIndex.
+  std::uint32_t spawn_self(Worker& wk, NodeId self, const std::shared_ptr<const Message>& msg) {
     const RealTime time = wk.recs[wk.cur_rec].time;
-    if (time < window_bound) {
-      // Lands inside the window: execute it here, in this node's order; the
-      // commit assigns its seq at the moment the push would have happened.
-      const std::uint32_t child = spawn_delivery(wk, self, self, time, msg);
-      wk.ops.push_back(Op{OpKind::kSendLocal, self, child, time, 0, std::move(msg)});
-    } else {
-      // At or past a barrier's time: sequentially this runs after the
-      // barrier (its seq is older), so it must go through the queue.
-      wk.ops.push_back(Op{OpKind::kSendSelfPush, self, kNoIndex, time, 0, std::move(msg)});
-    }
+    if (!(time < window_bound)) return kNoIndex;
+    return spawn(wk, immediate_delivery(self, self, time, msg));
+  }
+
+  void op_send(NodeId from, NodeId to, std::shared_ptr<const Message> msg) {
+    Worker& wk = cur();
+    const std::uint32_t child = to == from ? spawn_self(wk, from, msg) : kNoIndex;
+    const OpKind kind = child != kNoIndex ? OpKind::kSendLocal : OpKind::kSendPush;
+    wk.ops.push_back(Op{kind, to, child, 0, 0, std::move(msg)});
   }
 
   void worker_unicast(NodeId from, NodeId to, const Message& m) {
-    if (to != from && !sim->topo_now_->adjacent(from, to)) {
-      cur().ops.push_back(
-          Op{OpKind::kSendDropNoLink, to, kNoIndex, 0, 0, std::make_shared<const Message>(m)});
-      return;
-    }
     auto msg = std::make_shared<const Message>(m);
-    if (to == from) {
-      op_send_self(from, std::move(msg));
+    if (to != from && !sim->topo_now_->adjacent(from, to)) {
+      cur().ops.push_back(Op{OpKind::kSendDropNoLink, to, kNoIndex, 0, 0, std::move(msg)});
     } else {
-      op_send_peer(to, std::move(msg));
+      op_send(from, to, std::move(msg));
     }
   }
 
@@ -530,67 +465,49 @@ struct Simulator::ParEngine {
       // defers to commit; only the self-delivery (always part of a sampled
       // fan-out) is classified now so the window can execute it.
       Worker& wk = cur();
-      const RealTime time = wk.recs[wk.cur_rec].time;
-      std::uint32_t child = kNoIndex;
-      if (time < window_bound) child = spawn_delivery(wk, from, from, time, msg);
-      wk.ops.push_back(Op{OpKind::kSampledBcast, from, child, time, 0, std::move(msg)});
+      const std::uint32_t child = spawn_self(wk, from, msg);
+      wk.ops.push_back(Op{OpKind::kSampledBcast, from, child, 0, 0, std::move(msg)});
       return;
     }
-    sim->for_each_recipient(from, [&](NodeId to) {
-      if (to == from) {
-        op_send_self(from, msg);
-      } else {
-        op_send_peer(to, msg);
-      }
-    });
+    sim->for_each_recipient(from, [&](NodeId to) { op_send(from, to, msg); });
   }
 
-  TimerId worker_arm_timer(NodeId v, RealTime fire_at, TimerState kind) {
+  void worker_schedule_timer(NodeId v, RealTime fire_at, TimerId id) {
     Worker& wk = cur();
-    Node& node = sim->nodes_[v];
-    const std::size_t index = node.par_timers.size();
-    node.par_timers.push_back(kind);
-    const TimerId id = par_timer_id(v, index);
     const RealTime fire = std::max(fire_at, wk.recs[wk.cur_rec].time);
     if (fire < window_bound && fire <= window_horizon) {
-      const std::uint32_t child = spawn_timer(wk, v, fire, id);
-      wk.ops.push_back(Op{OpKind::kTimerLocal, v, child, fire, id, nullptr});
+      Rec rec;
+      rec.time = fire;
+      rec.node = v;
+      rec.timer_id = id;
+      const std::uint32_t child = spawn(wk, std::move(rec));
+      wk.ops.push_back(Op{OpKind::kTimerLocal, v, child, 0, 0, nullptr});
     } else {
       wk.ops.push_back(Op{OpKind::kTimerPush, v, kNoIndex, fire, id, nullptr});
     }
-    return id;
   }
 
   // ------------------------------------------------------------ commit phase
 
   void replay() {
-    Simulator& S = *sim;
     std::size_t ri = 0;
     while (ri < commit_order.size() || !replay_heap.empty()) {
-      bool take_root;
-      if (ri >= commit_order.size()) {
-        take_root = false;
-      } else if (replay_heap.empty()) {
-        take_root = true;
-      } else {
+      bool take_root = ri < commit_order.size();
+      if (take_root && !replay_heap.empty()) {
         const Rec& root = workers[commit_order[ri].first].recs[commit_order[ri].second];
         const ReplayEntry& top = replay_heap.front();
         take_root = root.time != top.time ? root.time < top.time : root.seq < top.seq;
       }
-      std::uint32_t w, r;
       if (take_root) {
-        w = commit_order[ri].first;
-        r = commit_order[ri].second;
+        replay_rec(commit_order[ri].first, commit_order[ri].second);
         ++ri;
       } else {
-        w = replay_heap.front().worker;
-        r = replay_heap.front().rec;
+        const ReplayEntry top = replay_heap.front();
         std::pop_heap(replay_heap.begin(), replay_heap.end(), replay_after);
         replay_heap.pop_back();
+        replay_rec(top.worker, top.rec);
       }
-      replay_rec(w, r);
     }
-    (void)S;
   }
 
   static bool replay_after(const ReplayEntry& a, const ReplayEntry& b) {
@@ -600,11 +517,13 @@ struct Simulator::ParEngine {
   void replay_rec(std::uint32_t w, std::uint32_t r) {
     Simulator& S = *sim;
     Worker& wk = workers[w];
-    Rec& rec = wk.recs[r];
+    // Only inert recs are appended during replay, and into workers[nworkers],
+    // whose recs carry no ops: this reference stays valid.
+    const Rec& rec = wk.recs[r];
     ST_REQUIRE(++S.events_dispatched_ <= S.params_.max_events,
                "Simulator: event budget exhausted (runaway protocol?)");
     S.now_ = rec.time;
-    if (!rec.is_timer) {
+    if (!rec.is_timer()) {
       S.counters_.on_deliver(message_kind(*rec.msg));
       if (rec.purge_dropped) ++S.messages_dropped_;
     }
@@ -622,39 +541,39 @@ struct Simulator::ParEngine {
     std::push_heap(replay_heap.begin(), replay_heap.end(), replay_after);
   }
 
-  void send_peer_commit(const Rec& rec, NodeId to, const std::shared_ptr<const Message>& msg) {
-    Simulator& S = *sim;
-    S.counters_.on_send(message_kind(*msg), message_size_bytes(*msg));
-    const Duration delay = S.delays_->delay(rec.node, to, rec.time, S.params_.tdel, *S.net_rng_);
-    if (delay == kDropMessage) {
-      ++S.messages_dropped_;
-      return;
-    }
-    ST_ASSERT(delay >= 0 && delay <= S.params_.tdel,
-              "DelayPolicy returned a delay outside [0, tdel]");
-    ST_ASSERT(delay >= lookahead,
-              "DelayPolicy violated its min_delay() lookahead contract");
-    S.queue_.push_delivery(rec.time + delay, DeliveryEvent{to, rec.node, msg, rec.time});
+  /// Commits a send whose delivery is an in-window child rec.
+  void send_child(std::uint32_t w, std::uint32_t child, const Message& m) {
+    sim->counters_.on_send(message_kind(m), message_size_bytes(m));
+    schedule_child(w, child);
   }
 
-  void apply_op(std::uint32_t w, const Rec& rec, Op& op) {
+  /// Replays one send through honest_send, with `now` at the sender's event
+  /// time. A crashed recipient (corrupted, no adversary) gets the message
+  /// immediately; inside the window the queue has already drained past that
+  /// time, and the delivery runs no handler, so it only takes its seq and
+  /// its place in the replay order, as an inert rec.
+  void commit_send(const Rec& rec, NodeId to, const std::shared_ptr<const Message>& msg) {
+    Simulator& S = *sim;
+    if (!S.corrupt_recipient(to) || rec.time >= window_bound) {
+      S.honest_send(rec.node, to, msg);
+      return;
+    }
+    Worker& inert = workers[nworkers];
+    inert.recs.push_back(immediate_delivery(to, rec.node, rec.time, msg));
+    send_child(nworkers, static_cast<std::uint32_t>(inert.recs.size() - 1), *msg);
+  }
+
+  void apply_op(std::uint32_t w, const Rec& rec, const Op& op) {
     Simulator& S = *sim;
     switch (op.kind) {
-      case OpKind::kSendLink:
-        send_peer_commit(rec, op.to, op.msg);
+      case OpKind::kSendPush:
+        commit_send(rec, op.to, op.msg);
         break;
       case OpKind::kSendDropNoLink:
-        S.counters_.on_send(message_kind(*op.msg), message_size_bytes(*op.msg));
-        ++S.messages_dropped_;
-        break;
-      case OpKind::kSendSelfPush:
-        S.counters_.on_send(message_kind(*op.msg), message_size_bytes(*op.msg));
-        S.queue_.push_delivery(op.fire_at,
-                               DeliveryEvent{rec.node, rec.node, op.msg, op.fire_at});
+        S.honest_send(rec.node, op.to, *op.msg);
         break;
       case OpKind::kSendLocal:
-        S.counters_.on_send(message_kind(*op.msg), message_size_bytes(*op.msg));
-        schedule_child(w, op.child);
+        send_child(w, op.child, *op.msg);
         break;
       case OpKind::kTimerPush:
         S.queue_.push_timer(op.fire_at, TimerEvent{op.to, op.timer});
@@ -663,31 +582,17 @@ struct Simulator::ParEngine {
         schedule_child(w, op.child);
         break;
       case OpKind::kSampledBcast:
-        apply_sampled(w, rec, op);
+        // The peer draws happen here, in canonical commit order; a domain no
+        // larger than the sample takes the walk's full fan-out, no draws.
+        S.for_each_recipient(rec.node, [&](NodeId to) {
+          if (to == rec.node && op.child != kNoIndex) {
+            send_child(w, op.child, *op.msg);
+          } else {
+            commit_send(rec, to, op.msg);
+          }
+        });
         break;
     }
-  }
-
-  void apply_sampled(std::uint32_t w, const Rec& rec, const Op& op) {
-    Simulator& S = *sim;
-    const NodeId from = rec.node;
-    const auto self_commit = [&] {
-      S.counters_.on_send(message_kind(*op.msg), message_size_bytes(*op.msg));
-      if (op.child != kNoIndex) {
-        schedule_child(w, op.child);
-      } else {
-        S.queue_.push_delivery(rec.time, DeliveryEvent{from, from, op.msg, rec.time});
-      }
-    };
-    // The peer draws happen here, in canonical commit order; a domain no
-    // larger than the sample takes the walk's full fan-out, no draws.
-    S.for_each_recipient(from, [&](NodeId to) {
-      if (to == from) {
-        self_commit();
-      } else {
-        send_peer_commit(rec, to, op.msg);
-      }
-    });
   }
 };
 
@@ -718,7 +623,8 @@ void Simulator::maybe_enable_parallel() {
                  params_.sim_threads);
     return;
   }
-  par_.reset(new ParEngine(this, look, params_.sim_threads));
+  lookahead_ = look;
+  par_.reset(new ParEngine(this, params_.sim_threads));
 }
 
 void Simulator::run_parallel(RealTime horizon) {
@@ -736,8 +642,8 @@ void Simulator::par_broadcast(NodeId from, const Message& m) {
   par_->worker_broadcast(from, m);
 }
 
-TimerId Simulator::par_arm_timer(NodeId node, RealTime fire_at, TimerState kind) {
-  return par_->worker_arm_timer(node, fire_at, kind);
+void Simulator::par_schedule_timer(NodeId node, RealTime fire_at, TimerId id) {
+  par_->worker_schedule_timer(node, fire_at, id);
 }
 
 bool Simulator::observe_started_slow(NodeId id) const {

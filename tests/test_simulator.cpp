@@ -188,11 +188,13 @@ TEST(Simulator, CancelAfterFireIsANoOpAndUnknownIdsThrow) {
 }
 
 // Pending timers are per-node memory: a churn stop or a timer-corruption
-// victim loses its own, and nobody else's. Node 0 crashes at 1.25; at 1.75 a
-// corruption event wipes the process timers of half the nodes still up. The
-// run covers both engines (delay=half gives the parallel one its window) and
-// a Byzantine adversary (its timers live outside every node's table; with it
-// installed, sim_threads=2 falls back to the sequential engine).
+// victim loses its own, and nobody else's. Node 0 crashes at 1.25 and
+// rejoins as a fresh process at 1.4, before its old ticker's next tick was
+// due; at 1.75 a corruption event wipes the process timers of half the
+// nodes. The run covers both engines (delay=half gives the parallel one its
+// window) and a Byzantine adversary (its timers live outside every node's
+// table; with it installed, sim_threads=2 falls back to the sequential
+// engine).
 TEST(Simulator, TimerCancellationIsPerNode) {
   /// What one node saw; kept outside the process, which a churn stop destroys.
   struct ProbeLog {
@@ -250,25 +252,27 @@ TEST(Simulator, TimerCancellationIsPerNode) {
         adversary = adv.get();
         sim.set_adversary({3}, std::move(adv));
       }
-      Recorder* rejoined = nullptr;
-      sim.schedule_restart(0, 1.25, 4.0, [&sim, &rejoined] {
-        auto rec = std::make_unique<Recorder>(sim);
-        rejoined = rec.get();
-        return rec;
+      ProbeLog rejoined;
+      sim.schedule_restart(0, 1.25, 1.4, [&sim, &rejoined] {
+        return std::make_unique<TimerProbe>(sim, rejoined);
       });
       sim.run_until(5.0);
 
-      if (threads > 1 && !with_adversary) EXPECT_GT(sim.parallel_windows(), 0u);
-      // Half of the honest-1 nodes still up, rounded up.
-      ASSERT_EQ(sim.nodes_corrupted(), honest / 2);
-      // The crashed node lost its late timer and its ticker, and the
-      // corruption (which only hits nodes that are up) passed it by.
+      if (threads > 1 && !with_adversary) {
+        EXPECT_GT(sim.parallel_windows(), 0u);
+      }
+      // Half of the honest nodes, rounded up.
+      ASSERT_EQ(sim.nodes_corrupted(), (honest + 1) / 2);
+      // The crashed process lost its late timer and its ticker. Had the old
+      // ticker survived the crash, it would tick for the rebuilt process too.
       EXPECT_FALSE(logs[0].corrupted);
       EXPECT_EQ(logs[0].timers, (std::vector<RealTime>{1.0}));
       EXPECT_EQ(logs[0].ticks, (std::vector<RealTime>{0.5, 1.0}));
-      ASSERT_NE(rejoined, nullptr);
-      EXPECT_TRUE(rejoined->started());
-      std::size_t victims = 0;
+      EXPECT_EQ(rejoined.ticks.size(), 7u);  // 1.9, 2.4, ..., 4.9
+      ASSERT_FALSE(rejoined.timers.empty());
+      EXPECT_EQ(rejoined.timers[0], 1.4);  // hardware 1.0 had already passed
+      std::size_t victims = rejoined.corrupted ? 1 : 0;
+      EXPECT_EQ(rejoined.timers.size(), rejoined.corrupted ? 1u : 2u);
       for (NodeId id = 1; id < honest; ++id) {
         SCOPED_TRACE(testing::Message() << "node " << id);
         const ProbeLog& p = logs[id];
@@ -281,10 +285,41 @@ TEST(Simulator, TimerCancellationIsPerNode) {
         EXPECT_EQ(p.ticks, all_ticks);
       }
       EXPECT_EQ(victims, sim.nodes_corrupted());
-      EXPECT_LT(victims, static_cast<std::size_t>(honest - 1));
-      if (adversary != nullptr) EXPECT_EQ(adversary->fired, (std::vector<RealTime>{3.0}));
+      if (adversary != nullptr) {
+        EXPECT_EQ(adversary->fired, (std::vector<RealTime>{3.0}));
+      }
     }
   }
+}
+
+// A crashed node (corrupted, no adversary strategy) receives honest sends
+// immediately, like any corrupted node. The parallel engine stays engaged
+// without a strategy object, and must schedule those deliveries at the same
+// times as the sequential one.
+TEST(Simulator, SendsToCrashedNodesAreImmediateOnBothEngines) {
+  const auto event_times = [](std::uint32_t threads) {
+    SimParams params;
+    params.n = 3;
+    params.tdel = 0.01;
+    params.seed = 1;
+    params.sim_threads = threads;
+    Simulator sim(params, identity_clocks(3), std::make_unique<FixedDelay>(0.5), nullptr);
+    sim.set_process(0, std::make_unique<OneShotBroadcaster>());
+    sim.set_process(1, std::make_unique<Recorder>(sim));
+    sim.set_adversary({2}, nullptr);
+    std::vector<RealTime> times;
+    sim.set_post_event_hook([&times](const Simulator& s) { times.push_back(s.now()); });
+    sim.run_until(1.0);
+    if (threads > 1) {
+      EXPECT_GT(sim.parallel_windows(), 0u);
+    }
+    return times;
+  };
+  // Two starts, then the broadcast's self and crashed-node deliveries at 0;
+  // only the delivery to node 1 waits out the 0.005 link delay.
+  const std::vector<RealTime> expected{0.0, 0.0, 0.0, 0.0, 0.005};
+  EXPECT_EQ(event_times(1), expected);
+  EXPECT_EQ(event_times(2), expected);
 }
 
 TEST(Simulator, LateStartDropsEarlierMessages) {

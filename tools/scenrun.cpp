@@ -163,7 +163,8 @@ int main(int argc, char** argv) {
       write_sink(json_path, "JSON", cells, results, &experiment::write_json);
     }
     if (csv_path.empty() && json_path.empty()) {
-      // Human-readable summary: one line per cell.
+      // Human-readable summary: one line per cell. `windows` is the count of
+      // parallel-engine windows; 0 means the cell ran on the sequential path.
       for (std::size_t i = 0; i < cells.size(); ++i) {
         std::cout << "cell " << cells[i].index;
         for (const auto& [axis, value] : cells[i].labels) {
@@ -176,7 +177,8 @@ int main(int argc, char** argv) {
                   << " epochs=" << results[i].topology_epochs
                   << " messages=" << results[i].messages_sent
                   << " dropped=" << results[i].messages_dropped
-                  << " stab=" << results[i].stabilization_time << "\n";
+                  << " stab=" << results[i].stabilization_time
+                  << " windows=" << results[i].parallel_windows << "\n";
       }
     }
     return 0;
