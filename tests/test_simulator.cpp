@@ -295,18 +295,27 @@ TEST(Simulator, TimerCancellationIsPerNode) {
 // A crashed node (corrupted, no adversary strategy) receives honest sends
 // immediately, like any corrupted node. The parallel engine stays engaged
 // without a strategy object, and must schedule those deliveries at the same
-// times as the sequential one.
+// times as the sequential one, on full and on sampled fan-outs (whose
+// recipients are only drawn at commit). Boots are staggered by 0.003, less
+// than the 0.005 window, so a window holds events later than a send.
 TEST(Simulator, SendsToCrashedNodesAreImmediateOnBothEngines) {
-  const auto event_times = [](std::uint32_t threads) {
+  const auto event_times = [](std::uint32_t n, std::uint32_t sample_size,
+                              std::uint32_t threads) {
     SimParams params;
-    params.n = 3;
+    params.n = n;
     params.tdel = 0.01;
     params.seed = 1;
     params.sim_threads = threads;
-    Simulator sim(params, identity_clocks(3), std::make_unique<FixedDelay>(0.5), nullptr);
-    sim.set_process(0, std::make_unique<OneShotBroadcaster>());
-    sim.set_process(1, std::make_unique<Recorder>(sim));
-    sim.set_adversary({2}, nullptr);
+    if (sample_size > 0) {
+      params.broadcast_mode = BroadcastMode::kSampled;
+      params.sample_size = sample_size;
+    }
+    Simulator sim(params, identity_clocks(n), std::make_unique<FixedDelay>(0.5), nullptr);
+    for (NodeId id = 0; id + 1 < n; ++id) {
+      sim.set_process(id, std::make_unique<OneShotBroadcaster>());
+      sim.set_start_time(id, 0.003 * id);
+    }
+    sim.set_adversary({n - 1}, nullptr);
     std::vector<RealTime> times;
     sim.set_post_event_hook([&times](const Simulator& s) { times.push_back(s.now()); });
     sim.run_until(1.0);
@@ -315,11 +324,13 @@ TEST(Simulator, SendsToCrashedNodesAreImmediateOnBothEngines) {
     }
     return times;
   };
-  // Two starts, then the broadcast's self and crashed-node deliveries at 0;
-  // only the delivery to node 1 waits out the 0.005 link delay.
-  const std::vector<RealTime> expected{0.0, 0.0, 0.0, 0.0, 0.005};
-  EXPECT_EQ(event_times(1), expected);
-  EXPECT_EQ(event_times(2), expected);
+  // Node 0 boots at 0 and its broadcast reaches itself and the crashed node
+  // 2 at once, node 1 after the 0.005 link delay; node 1 does the same at
+  // 0.003.
+  const std::vector<RealTime> expected{0.0, 0.0, 0.0, 0.003, 0.003, 0.003, 0.005, 0.008};
+  EXPECT_EQ(event_times(3, 0, 1), expected);
+  EXPECT_EQ(event_times(3, 0, 2), expected);
+  EXPECT_EQ(event_times(8, 3, 2), event_times(8, 3, 1));
 }
 
 TEST(Simulator, LateStartDropsEarlierMessages) {
