@@ -238,9 +238,9 @@ class Simulator {
     /// Hardware ticker interval (0 = no ticker; see Context::start_ticker).
     Duration ticker_interval = 0;
     /// This node's timer table: the state of every process, start, stop
-    /// and tick timer it ever armed. Only the node's own handlers arm into
-    /// it, so in a parallel window the worker that owns the node is its
-    /// only writer, and a churn stop or a corruption victim walks just this.
+    /// and tick timer armed for it. Inside a parallel window only the
+    /// node's own handlers arm into it, so the worker that owns the node is
+    /// its only writer; a churn stop or a corruption victim walks just this.
     std::vector<TimerState> timers;
   };
 
