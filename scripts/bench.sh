@@ -15,6 +15,21 @@
 #             non-zero, naming the cell, on a wall or RSS budget breach
 #   --label   label recorded with the run (default: git describe)
 #   build-dir defaults to build-bench
+#
+#        scripts/bench.sh --ab REV_A REV_B --workload W [--pairs N] [--seconds T]
+#   --ab      paired A/B comparison of two committed revisions on one
+#             bench_suite workload. Each revision is exported with
+#             `git archive` into a temporary directory and its bench_suite
+#             built there in Release; then N pairs (default 10) of fresh
+#             `bench_suite --workload W --trace 0 --seconds T` children run
+#             alternately, A B A B ..., so host drift hits both sides alike
+#             (T defaults to 5; each child reports the median of its own
+#             >= 3 repeats). Prints each pair's wall_s and B/A ratio, then
+#             the median ratio with a 95% bootstrap interval over the pairs,
+#             for wall_s and events_per_s; the last line is the same summary
+#             as JSON. Exits 1 when a child fails or the two revisions'
+#             result digests differ. Touches neither the checkout nor
+#             BENCH_core.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +37,15 @@ SMOKE=0
 SCALE=0
 LABEL=""
 BUILD_DIR="build-bench"
+AB_A=""
+AB_B=""
+AB_WORKLOAD=""
+AB_PAIRS=10
+AB_SECONDS=5
+usage() {
+  echo "usage: scripts/bench.sh [--smoke] [--scale] [--label NAME] [build-dir]"
+  echo "       scripts/bench.sh --ab REV_A REV_B --workload W [--pairs N] [--seconds T]"
+}
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --smoke) SMOKE=1; shift ;;
@@ -29,12 +53,105 @@ while [[ $# -gt 0 ]]; do
     --label)
       [[ $# -ge 2 ]] || { echo "bench.sh: --label needs a value (see --help)" >&2; exit 2; }
       LABEL="$2"; shift 2 ;;
-    -h|--help)
-      echo "usage: scripts/bench.sh [--smoke] [--scale] [--label NAME] [build-dir]"; exit 0 ;;
+    --ab)
+      [[ $# -ge 3 ]] || { echo "bench.sh: --ab needs two revisions (see --help)" >&2; exit 2; }
+      AB_A="$2"; AB_B="$3"; shift 3 ;;
+    --workload|--pairs|--seconds)
+      [[ $# -ge 2 ]] || { echo "bench.sh: $1 needs a value (see --help)" >&2; exit 2; }
+      case "$1" in
+        --workload) AB_WORKLOAD="$2" ;;
+        --pairs) AB_PAIRS="$2" ;;
+        --seconds) AB_SECONDS="$2" ;;
+      esac
+      shift 2 ;;
+    -h|--help) usage; exit 0 ;;
     *) BUILD_DIR="$1"; shift ;;
   esac
 done
 [[ -n "$LABEL" ]] || LABEL="$(git describe --always --dirty 2>/dev/null || echo unlabelled)"
+
+if [[ -n "$AB_A" ]]; then
+  [[ -n "$AB_WORKLOAD" ]] || { echo "bench.sh: --ab needs --workload W" >&2; exit 2; }
+  [[ "$SCALE" -eq 0 && "$SMOKE" -eq 0 ]] \
+    || { echo "bench.sh: --ab does not combine with --scale or --smoke" >&2; exit 2; }
+  [[ "$AB_PAIRS" =~ ^[1-9][0-9]*$ ]] \
+    || { echo "bench.sh: --pairs must be a positive integer" >&2; exit 2; }
+  SHA_A="$(git rev-parse --verify "$AB_A^{commit}")"
+  SHA_B="$(git rev-parse --verify "$AB_B^{commit}")"
+  WORK="$(mktemp -d "${TMPDIR:-/tmp}/bench-ab.XXXXXX")"
+  trap 'rm -rf "$WORK"' EXIT
+  for side in a b; do
+    sha="$SHA_A"; [[ "$side" == b ]] && sha="$SHA_B"
+    mkdir -p "$WORK/$side/tmp"
+    git archive "$sha" | tar -x -C "$WORK/$side"
+    # The compiler's temporaries stay inside the export, as in run.sh.
+    TMPDIR="$WORK/$side/tmp" cmake -S "$WORK/$side/bench_suite" -B "$WORK/$side/.bench_build" \
+      -DCMAKE_BUILD_TYPE=Release >&2
+    TMPDIR="$WORK/$side/tmp" cmake --build "$WORK/$side/.bench_build" -j 4 \
+      --target bench_suite >&2
+  done
+  A_BIN="$WORK/a/.bench_build/bench_suite" B_BIN="$WORK/b/.bench_build/bench_suite" \
+  A_NAME="$AB_A@${SHA_A:0:12}" B_NAME="$AB_B@${SHA_B:0:12}" WORKLOAD="$AB_WORKLOAD" \
+  PAIRS="$AB_PAIRS" SECONDS_PER_RUN="$AB_SECONDS" python3 - <<'EOF'
+import json, os, random, statistics, subprocess, sys
+
+env = os.environ
+workload, pairs, seconds = env["WORKLOAD"], int(env["PAIRS"]), env["SECONDS_PER_RUN"]
+metrics = ("wall_s", "events_per_s")
+
+
+def run(binary):
+    """One fresh bench_suite child: its end-to-end metrics and result digests."""
+    out = subprocess.run([binary, "--workload", workload, "--seed", "1", "--seconds", seconds,
+                          "--trace", "0"], capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or not lines:
+        sys.exit(f"bench.sh: {binary} exited {out.returncode}:\n{out.stderr}")
+    verdict = json.loads(lines[-1])  # the verdict is the last stdout line
+    if not verdict["correct"]:
+        sys.exit(f"bench.sh: {binary} reported an incorrect run:\n{lines[-1]}")
+    digests = {l.split()[-1] for l in out.stderr.splitlines() if " digest " in l}
+    return {m: verdict["metrics"][m]["value"] for m in metrics}, digests
+
+
+def interval(ratios, draws=10000):
+    """Median ratio and its 95% bootstrap interval over the pairs."""
+    rng = random.Random(1)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(draws))
+    return statistics.median(ratios), medians[int(0.025 * draws)], medians[int(0.975 * draws)]
+
+
+print(f"bench.sh: A = {env['A_NAME']}, B = {env['B_NAME']}, workload {workload}, "
+      f"{pairs} pairs of fresh children, --seconds {seconds}", flush=True)
+ratios = {m: [] for m in metrics}
+digests = {"A": set(), "B": set()}
+for p in range(1, pairs + 1):
+    a, da = run(env["A_BIN"])
+    b, db = run(env["B_BIN"])
+    digests["A"] |= da
+    digests["B"] |= db
+    for m in metrics:
+        ratios[m].append(b[m] / a[m])
+    print(f"pair {p}: wall_s A {a['wall_s']:.3f} B {b['wall_s']:.3f} B/A "
+          f"{ratios['wall_s'][-1]:.3f}", flush=True)
+
+summary = {"a": env["A_NAME"], "b": env["B_NAME"], "workload": workload, "pairs": pairs}
+for m in metrics:
+    med, lo, hi = interval(ratios[m])
+    better = sum(r < 1 if m == "wall_s" else r > 1 for r in ratios[m])
+    print(f"{m} B/A: median {med:.3f}, 95% bootstrap interval [{lo:.3f}, {hi:.3f}]; "
+          f"B better in {better} of {pairs} pairs")
+    summary[m] = {"ratios": [round(r, 4) for r in ratios[m]], "median": round(med, 4),
+                  "ci95": [round(lo, 4), round(hi, 4)], "b_better": better}
+summary["digests"] = {k: sorted(v) for k, v in digests.items()}
+print(json.dumps(summary))
+if digests["A"] != digests["B"]:
+    sys.exit(f"bench.sh: result digests differ: A {sorted(digests['A'])}, "
+             f"B {sorted(digests['B'])}")
+EOF
+  exit 0
+fi
 
 if [[ "$SCALE" -eq 1 ]]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release

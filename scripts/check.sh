@@ -39,7 +39,7 @@
 #            sim_threads=8 (240 s budget, no sequential fallback), and
 #            timer corruption at scale (auth_stab on the same n=1e5 fabric,
 #            every node's pending timers wiped at t=2.5, 120 s budget; the
-#            summary must show the run live and recovered with stab < 1 s).
+#            summary must show the run live and recovered with stab=0).
 #   --asan   additionally build the tree under ASan+UBSan (its own build
 #            directory, <build-dir>-asan) and run the tier-1 ctest suite in
 #            it; any sanitizer report fails the gate.
@@ -299,8 +299,8 @@ JSON
   # Timer corruption at scale: every node's pending timers are wiped at once.
   # Each victim walks only its own node's timer table, which keeps the cell
   # linear in the timers armed and inside the budget. auth_stab must stay
-  # live and re-enter the precision envelope within the first period after
-  # the event (the cell prints stab=0.05).
+  # live, and since wiping timers moves no clock the spread never leaves the
+  # precision envelope: the recovery time is exactly 0 (stab=0).
   cat > "$SCALE_TMP/corrupt_timers.json" <<'JSON'
 {"base": {"protocol": "auth_stab", "n": 100000, "f": 0, "rho": 0.0001, "tdel": 0.01,
           "period": 1.0, "initial_sync": 0.005, "seed": 1, "horizon": 5.0,
@@ -312,7 +312,7 @@ JSON
   timeout 120 "$BUILD_DIR/scenrun" "$SCALE_TMP/corrupt_timers.json" \
     > "$SCALE_TMP/corrupt_timers.out" \
     || { echo "check.sh: timer-corruption n=1e5 cell failed or blew its 120 s budget" >&2; exit 1; }
-  if ! grep -Eq ' live=1( .*)? stab=0(\.[0-9]+)? ' "$SCALE_TMP/corrupt_timers.out"; then
+  if ! grep -Eq ' live=1( .*)? stab=0 ' "$SCALE_TMP/corrupt_timers.out"; then
     echo "check.sh: timer-corruption n=1e5 cell lost liveness or did not recover:" >&2
     cat "$SCALE_TMP/corrupt_timers.out" >&2; exit 1
   fi

@@ -50,6 +50,13 @@ RealTime HardwareClock::when_reads(LocalTime local) const {
 
 double HardwareClock::rate_at(RealTime t) const { return segments_[segment_at(t)].rate; }
 
+std::pair<double, double> HardwareClock::rate_range() const {
+  const auto [lo, hi] = std::minmax_element(
+      segments_.begin(), segments_.end(),
+      [](const Segment& a, const Segment& b) { return a.rate < b.rate; });
+  return {lo->rate, hi->rate};
+}
+
 bool HardwareClock::respects_drift_bound(double rho) const {
   constexpr double kTol = 1e-12;
   const double lo = 1.0 / (1.0 + rho) - kTol;

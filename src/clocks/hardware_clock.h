@@ -1,5 +1,6 @@
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "util/types.h"
@@ -35,6 +36,10 @@ class HardwareClock {
   [[nodiscard]] double rate_at(RealTime t) const;
 
   [[nodiscard]] LocalTime initial_value() const { return segments_.front().local_start; }
+
+  /// Smallest and largest segment rate of the whole trajectory: a bound on
+  /// the clock's rate at every real time, past or future.
+  [[nodiscard]] std::pair<double, double> rate_range() const;
 
   /// True iff every segment rate lies within [1/(1+rho), 1+rho] (with a tiny
   /// tolerance for round-off). Drift models assert this after construction.

@@ -101,4 +101,11 @@ double LogicalClock::rate_at(RealTime t) const {
   return pieces_[piece_at(h)].slope * hw_->rate_at(t);
 }
 
+std::pair<double, double> LogicalClock::slope_range_from(LocalTime h) const {
+  const auto live = pieces_.begin() + static_cast<std::ptrdiff_t>(piece_at(h));
+  const auto [lo, hi] = std::minmax_element(
+      live, pieces_.end(), [](const Piece& a, const Piece& b) { return a.slope < b.slope; });
+  return {lo->slope, hi->slope};
+}
+
 }  // namespace stclock

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "clocks/hardware_clock.h"
@@ -61,6 +62,12 @@ class LogicalClock {
 
   /// Effective logical rate dL/dt at real time t.
   [[nodiscard]] double rate_at(RealTime t) const;
+
+  /// Smallest and largest slope dL/dh over the piece live at hardware time
+  /// h and every piece after it (an amortized ramp appends its end piece up
+  /// front). Until the next adjustment, the clock's slope at any hardware
+  /// time >= h lies inside this range.
+  [[nodiscard]] std::pair<double, double> slope_range_from(LocalTime h) const;
 
   [[nodiscard]] const HardwareClock& hardware() const { return *hw_; }
 

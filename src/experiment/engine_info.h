@@ -18,7 +18,7 @@ namespace stclock::experiment {
 /// ScenarioResult field for some spec (engine event ordering, metric
 /// definitions, protocol behaviour, RNG derivation). Purely additive
 /// changes that cannot affect existing results do not need a bump.
-inline constexpr const char* kEngineVersion = "stclock-engine/12.0";
+inline constexpr const char* kEngineVersion = "stclock-engine/13.0";
 
 /// Build-configuration facts that can change numeric results without any
 /// source change: compiler identity, optimization/NDEBUG mode, and the

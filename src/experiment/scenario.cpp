@@ -328,6 +328,10 @@ std::uint32_t broadcast_fanin(const ScenarioSpec& spec) {
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& requested) {
+  return run_scenario(requested, nullptr);
+}
+
+ScenarioResult run_scenario(const ScenarioSpec& requested, const SampleObserver& observe) {
   const ProtocolRegistry::Entry& entry = ProtocolRegistry::global().at(requested.protocol);
   const EngineMode mode = entry.mode;
   const ProcessFactory& factory = entry.factory;
@@ -501,8 +505,9 @@ ScenarioResult run_scenario(const ScenarioSpec& requested) {
   const RealTime env_steady = sync_mode ? 2 * result.bounds.max_period : 3 * cfg.period;
   EnvelopeTracker envelope(spec.envelope_interval);
   if (scale_mode) envelope.enable_streaming(env_lo, env_hi, env_steady);
-  sim.set_post_event_hook([&skew, &envelope](const Simulator& s) {
+  sim.set_post_event_hook([&skew, &envelope, &observe](const Simulator& s) {
     skew.sample(s);
+    if (observe) observe(s, skew);
     envelope.sample(s);
   });
 
@@ -512,6 +517,7 @@ ScenarioResult run_scenario(const ScenarioSpec& requested) {
   for (RealTime t = step; t < spec.horizon + step; t += step) {
     sim.run_until(std::min(t, spec.horizon));
     skew.sample(sim);
+    if (observe) observe(sim, skew);
     envelope.sample(sim);
   }
 

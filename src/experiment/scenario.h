@@ -14,6 +14,7 @@
 #include "sim/corruption.h"
 #include "sim/process.h"
 #include "trace/envelope.h"
+#include "trace/skew_tracker.h"
 
 /// The unified experiment API: one engine runs every protocol — both
 /// Srikanth–Toueg variants and all prior-work baselines — on an identical
@@ -245,6 +246,15 @@ using ProcessFactory =
 /// ProtocolRegistry. Throws std::out_of_range for unknown protocol names and
 /// std::logic_error for inconsistent specs.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec);
+
+/// Called after every skew sample of a run, at each post-event hook call
+/// and each stepping-loop sample, with the simulator and the skew tracker;
+/// tests cross-check the tracker against a brute-force scan through it.
+using SampleObserver = std::function<void(const Simulator&, const SkewTracker&)>;
+
+/// run_scenario with `observe` called after every skew sample (null: none).
+[[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
+                                          const SampleObserver& observe);
 
 /// The effective per-node broadcast fan-in of the spec's fabric, for
 /// quorum-aware primitive thresholds (see scaled_threshold in

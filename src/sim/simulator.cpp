@@ -256,6 +256,7 @@ void Simulator::step(const Event& ev) {
 void Simulator::dispatch(const Event& ev) {
   if (!ev.is_timer) {
     const DeliveryEvent& d = ev.delivery;
+    last_event_node_ = d.to;
     counters_.on_deliver(message_kind(*d.msg));
     if (!nodes_[d.to].corrupt) {
       if (!run_node_event(ev)) ++messages_dropped_;
@@ -265,9 +266,11 @@ void Simulator::dispatch(const Event& ev) {
     return;
   }
   if (!fleet_wide(ev.timer.id)) {
+    last_event_node_ = ev.timer.node;
     (void)run_node_event(ev);
     return;
   }
+  last_event_node_ = kNoNode;
   switch (take_timer(ev.timer.id)) {
     case TimerState::kArmedStop: {
       // Churn: the node crashes. Its pending timers die with it, messages

@@ -177,6 +177,16 @@ class Simulator {
   [[nodiscard]] const MessageCounters& counters() const { return counters_; }
   [[nodiscard]] MessageCounters& counters() { return counters_; }
 
+  /// Returned by last_event_node when the last event belonged to no node.
+  static constexpr NodeId kNoNode = 0xffffffffu;
+
+  /// The node whose own event was dispatched last: a delivery's recipient,
+  /// or the owner of a start, tick, process or cancelled timer. Such an
+  /// event changes no other node's clock, start flag or integration state.
+  /// kNoNode after a fleet-wide event (churn stop, epoch switch, corruption,
+  /// adversary timer), before the first event, and during a parallel commit.
+  [[nodiscard]] NodeId last_event_node() const { return last_event_node_; }
+
   /// Total events dispatched so far (timers + deliveries, cancelled timer
   /// pops included). Part of the determinism contract: for a fixed spec the
   /// count is reproducible bit-for-bit, which the golden trace test pins.
@@ -362,6 +372,7 @@ class Simulator {
   RealTime now_ = 0;
   bool started_ = false;
   std::uint64_t events_dispatched_ = 0;
+  NodeId last_event_node_ = kNoNode;
   std::uint64_t messages_dropped_ = 0;
   /// Epoch, corruption and adversary timers (a handful per run).
   std::vector<TimerState> fleet_timers_;

@@ -523,6 +523,7 @@ struct Simulator::ParEngine {
     ST_REQUIRE(++S.events_dispatched_ <= S.params_.max_events,
                "Simulator: event budget exhausted (runaway protocol?)");
     S.now_ = rec.time;
+    S.last_event_node_ = kNoNode;
     if (!rec.is_timer()) {
       S.counters_.on_deliver(message_kind(*rec.msg));
       if (rec.purge_dropped) ++S.messages_dropped_;

@@ -2,8 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace stclock {
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Slack on every pruning bound, relative to the magnitude of the readings
+/// compared: readings, keys and bounds each carry a few ulps of rounding,
+/// and 1e-12 covers them thousands of times over while staying far below
+/// any spread worth measuring.
+constexpr double kRelSlack = 1e-12;
+
+}  // namespace
 
 SkewTracker::SkewTracker(Duration series_interval, std::function<bool(NodeId)> include)
     : series_interval_(series_interval), include_(std::move(include)) {}
@@ -14,12 +27,198 @@ void SkewTracker::set_stabilization(RealTime after, double threshold) {
   stab_threshold_ = threshold;
 }
 
-void SkewTracker::sample(const Simulator& sim) {
-  const RealTime t = sim.now();
-  if (min_sample_gap_ > 0 && last_sample_time_ >= 0 &&
-      t - last_sample_time_ < min_sample_gap_) {
+// --- KeyHeap ---
+
+void SkewTracker::KeyHeap::reset(std::size_t n) {
+  ids.clear();
+  slot.assign(n, kAbsent);
+  key.resize(n);
+}
+
+void SkewTracker::KeyHeap::append(NodeId id, double k) {
+  key[id] = k;
+  slot[id] = static_cast<std::uint32_t>(ids.size());
+  ids.push_back(id);
+}
+
+void SkewTracker::KeyHeap::heapify() {
+  for (std::size_t i = ids.size() / 2; i-- > 0;) sift_down(i);
+}
+
+void SkewTracker::KeyHeap::set(NodeId id, double k) {
+  if (slot[id] == kAbsent) {
+    append(id, k);
+    sift_up(ids.size() - 1);
     return;
   }
+  key[id] = k;
+  sift_up(slot[id]);
+  sift_down(slot[id]);
+}
+
+void SkewTracker::KeyHeap::erase(NodeId id) {
+  const std::uint32_t i = slot[id];
+  if (i == kAbsent) return;
+  slot[id] = kAbsent;
+  const NodeId last = ids.back();
+  ids.pop_back();
+  if (i == ids.size()) return;
+  put(i, last);
+  sift_up(i);
+  sift_down(slot[last]);
+}
+
+void SkewTracker::KeyHeap::put(std::size_t i, NodeId id) {
+  ids[i] = id;
+  slot[id] = static_cast<std::uint32_t>(i);
+}
+
+void SkewTracker::KeyHeap::sift_up(std::size_t i) {
+  const NodeId id = ids[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!above(key[id], key[ids[parent]])) break;
+    put(i, ids[parent]);
+    i = parent;
+  }
+  put(i, id);
+}
+
+void SkewTracker::KeyHeap::sift_down(std::size_t i) {
+  const NodeId id = ids[i];
+  const std::size_t size = ids.size();
+  while (true) {
+    std::size_t child = 2 * i + 1;
+    if (child >= size) break;
+    if (child + 1 < size && above(key[ids[child + 1]], key[ids[child]])) ++child;
+    if (!above(key[ids[child]], key[id])) break;
+    put(i, ids[child]);
+    i = child;
+  }
+  put(i, id);
+}
+
+// --- Slope-band pruning ---
+
+bool SkewTracker::included(const Simulator& sim, NodeId id) const {
+  // observe_* rather than is_started/logical: mid-window under the parallel
+  // engine these report the committed pre-state, keeping hook-driven samples
+  // bit-identical to the sequential engine.
+  if (!sim.observe_started(id)) return false;
+  return include_ ? include_(id) : sim.observe_include(id);
+}
+
+bool SkewTracker::rebuild(const Simulator& sim, RealTime t, double& lo, double& hi) {
+  upper_.reset(sim.n());
+  lower_.reset(sim.n());
+  double hw_lo = kInf, hw_hi = -kInf;
+  slope_lo_ = kInf;
+  slope_hi_ = -kInf;
+  lo = kInf;
+  hi = -kInf;
+  for (NodeId id : sim.honest_ids()) {
+    // Every honest clock's rates count, included or not: a node that boots
+    // or integrates later is re-keyed under this band without a rebuild.
+    const HardwareClock& hw = sim.hardware(id);
+    const auto [rate_lo, rate_hi] = hw.rate_range();
+    hw_lo = std::min(hw_lo, rate_lo);
+    hw_hi = std::max(hw_hi, rate_hi);
+    if (!included(sim, id)) continue;
+    const double c = sim.observe_logical(id, t);
+    lo = std::min(lo, c);
+    hi = std::max(hi, c);
+    const auto [s_lo, s_hi] = sim.logical(id).slope_range_from(hw.read(t));
+    slope_lo_ = std::min(slope_lo_, s_lo);
+    slope_hi_ = std::max(slope_hi_, s_hi);
+    // The reading rides in both heaps until the band is known.
+    upper_.append(id, c);
+    lower_.append(id, c);
+  }
+  keyed_ = true;
+  keyed_topology_ = sim.current_topology();
+  keyed_at_ = t;
+  if (upper_.ids.empty()) return false;
+  // dC/dt = (logical slope) * (hardware rate): the band is the product of
+  // the two ranges.
+  const double products[] = {hw_lo * slope_lo_, hw_lo * slope_hi_, hw_hi * slope_lo_,
+                             hw_hi * slope_hi_};
+  r_lo_ = *std::min_element(std::begin(products), std::end(products));
+  r_hi_ = *std::max_element(std::begin(products), std::end(products));
+  for (NodeId id : upper_.ids) {
+    upper_.key[id] -= r_hi_ * t;
+    lower_.key[id] -= r_lo_ * t;
+  }
+  upper_.heapify();
+  lower_.heapify();
+  return true;
+}
+
+bool SkewTracker::rekey(const Simulator& sim, NodeId id, RealTime t) {
+  // An event of a corrupted node (the adversary's delivery) moves no honest
+  // clock.
+  if (sim.is_corrupt(id)) return true;
+  if (!included(sim, id)) {
+    upper_.erase(id);
+    lower_.erase(id);
+    return true;
+  }
+  const LogicalClock& clock = sim.logical(id);
+  const auto [s_lo, s_hi] = clock.slope_range_from(clock.hardware().read(t));
+  if (s_lo < slope_lo_ || s_hi > slope_hi_) return false;
+  const double c = sim.observe_logical(id, t);
+  upper_.set(id, c - r_hi_ * t);
+  lower_.set(id, c - r_lo_ * t);
+  return true;
+}
+
+bool SkewTracker::pruned_extremes(const Simulator& sim, RealTime t, double& lo, double& hi) {
+  if (upper_.ids.empty()) return false;
+  // Max side: a node keyed k reads at most k + r_hi·t now, so once a reading
+  // `hi` is in hand every node keyed below hi − r_hi·t (less the slack) is
+  // out, and so is its whole subtree. The floor only rises, so a pruned
+  // subtree stays pruned.
+  hi = -kInf;
+  double floor = -kInf;
+  walk_.assign(1, 0);
+  while (!walk_.empty()) {
+    const std::uint32_t i = walk_.back();
+    walk_.pop_back();
+    const NodeId id = upper_.ids[i];
+    if (upper_.key[id] < floor) continue;
+    const double c = sim.observe_logical(id, t);
+    if (c > hi) {
+      hi = c;
+      floor = hi - r_hi_ * t - kRelSlack * (1 + std::abs(hi) + r_hi_ * t);
+    }
+    for (std::uint32_t child = 2 * i + 1; child <= 2 * i + 2 && child < upper_.ids.size();
+         ++child) {
+      walk_.push_back(child);
+    }
+  }
+  // Min side, mirrored: a node keyed k reads at least k + r_lo·t.
+  lo = kInf;
+  double ceiling = kInf;
+  walk_.assign(1, 0);
+  while (!walk_.empty()) {
+    const std::uint32_t i = walk_.back();
+    walk_.pop_back();
+    const NodeId id = lower_.ids[i];
+    if (lower_.key[id] > ceiling) continue;
+    const double c = sim.observe_logical(id, t);
+    if (c < lo) {
+      lo = c;
+      ceiling = lo - r_lo_ * t + kRelSlack * (1 + std::abs(lo) + r_hi_ * t);
+    }
+    for (std::uint32_t child = 2 * i + 1; child <= 2 * i + 2 && child < lower_.ids.size();
+         ++child) {
+      walk_.push_back(child);
+    }
+  }
+  return true;
+}
+
+void SkewTracker::sample(const Simulator& sim) {
+  const RealTime t = sim.now();
   // The adjacency live RIGHT NOW: on a dynamic topology this moves with the
   // epoch schedule, so local skew is always measured against the links that
   // existed at sampling time. Adjacent-pair skew only needs the per-node
@@ -27,47 +226,78 @@ void SkewTracker::sample(const Simulator& sim) {
   // adjacent, so the local skew IS the spread and the O(E) pass is skipped.
   const Topology* topology = sim.current_topology();
   const bool sparse = !topology->is_complete();
-  const std::uint64_t prev_gen = cur_gen_;
-  if (sparse) {
-    values_.resize(sim.n());
-    gen_.resize(sim.n(), 0);
-    ++cur_gen_;
-  }
+  const bool banded = !sparse && sim.params().sim_threads == 1;
 
   double lo = 0, hi = 0;
-  bool first = true;
+  bool read = false;      // a rebuild already read this call's extremes
+  bool measured = false;  // some node is included
+  if (banded) {
+    // Keys follow every event, decimated calls included.
+    const std::uint64_t events = sim.events_dispatched();
+    const NodeId node = sim.last_event_node();
+    const bool one_node_event = events == seen_events_ + 1 && node != Simulator::kNoNode;
+    seen_events_ = events;
+    const bool current = keyed_ && topology == keyed_topology_ && one_node_event &&
+                         t - keyed_at_ < series_interval_ && rekey(sim, node, t);
+    if (!current) {
+      measured = rebuild(sim, t, lo, hi);
+      read = true;
+    }
+  } else {
+    keyed_ = false;
+  }
+
+  // The first sample of the stabilization watch is never decimated: it
+  // decides whether the spread stayed inside from the event on.
+  const bool stab_first = stab_armed_ && !stab_post_seen_ && t >= stab_after_;
+  if (min_sample_gap_ > 0 && last_sample_time_ >= 0 && t - last_sample_time_ < min_sample_gap_ &&
+      !stab_first) {
+    last_spread_ = -1;
+    return;
+  }
+
   std::uint32_t sampled_count = 0;
   bool set_grew = false;       // a node sampled now that was not last time
   bool value_changed = false;  // a re-sampled node read a different value
-  for (NodeId id : sim.honest_ids()) {
-    // observe_* rather than is_started/logical: mid-window under the parallel
-    // engine these report the committed pre-state, keeping hook-driven samples
-    // bit-identical to the sequential engine.
-    if (!sim.observe_started(id)) continue;
-    if (include_ ? !include_(id) : !sim.observe_include(id)) continue;
-    const double c = sim.observe_logical(id, t);
+  if (banded) {
+    if (!read) measured = pruned_extremes(sim, t, lo, hi);
+  } else {
+    const std::uint64_t prev_gen = cur_gen_;
     if (sparse) {
-      if (gen_[id] != prev_gen) {
-        set_grew = true;
-      } else if (values_[id] != c) {
-        value_changed = true;
-      }
-      values_[id] = c;
-      gen_[id] = cur_gen_;
-      ++sampled_count;
+      values_.resize(sim.n());
+      gen_.resize(sim.n(), 0);
+      ++cur_gen_;
     }
-    if (first) {
-      lo = hi = c;
-      first = false;
-    } else {
-      lo = std::min(lo, c);
-      hi = std::max(hi, c);
+    for (NodeId id : sim.honest_ids()) {
+      if (!included(sim, id)) continue;
+      const double c = sim.observe_logical(id, t);
+      if (sparse) {
+        if (gen_[id] != prev_gen) {
+          set_grew = true;
+        } else if (values_[id] != c) {
+          value_changed = true;
+        }
+        values_[id] = c;
+        gen_[id] = cur_gen_;
+        ++sampled_count;
+      }
+      if (!measured) {
+        lo = hi = c;
+        measured = true;
+      } else {
+        lo = std::min(lo, c);
+        hi = std::max(hi, c);
+      }
     }
   }
-  if (first) return;  // nothing to measure yet
+  if (!measured) {  // nothing to measure yet
+    last_spread_ = -1;
+    return;
+  }
   last_sample_time_ = t;
 
   const double spread = hi - lo;
+  last_spread_ = spread;
   if (spread > max_skew_) {
     max_skew_ = spread;
     max_skew_time_ = t;

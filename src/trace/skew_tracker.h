@@ -25,12 +25,41 @@
 /// live at measurement time. On the complete topology local skew equals the
 /// global spread, at no extra cost.
 ///
-/// The sparse pass is built to survive n = 10^6: per-node scratch is marked
-/// with a generation counter (no O(n) re-zeroing per sample), and the O(E)
-/// adjacent-pair rescan is skipped entirely — reusing the previous result
-/// bit-for-bit — when the sampled set, every sampled value, and the live
-/// graph are all unchanged since the last sample. Every node carries its
-/// 16 bytes of scratch at every n, so local skew covers every adjacent pair.
+/// Complete topology, sequential engine: slope-band pruning. The spread is
+/// max − min over the included nodes, and only the nodes that can still be
+/// the max or the min are read. Each included node holds a key: its reading
+/// v at its re-key time s. Every keyed clock's slope dC/dt lies in one band
+/// [r_lo, r_hi]: the fleet's hardware rate range times the range of logical
+/// slopes the keyed nodes have live (an amortized ramp is appended, end
+/// piece included, when it starts). So at any t >= s a node reads within
+/// [v + r_lo·(t − s), v + r_hi·(t − s)], and the keys v − r_hi·s (max heap)
+/// and v − r_lo·s (min heap) do not depend on t. A sample walks each heap
+/// from its top and reads nodes until the invariant closes the walk: no
+/// unread node's upper bound reaches the largest reading so far (max side),
+/// and no unread lower bound falls below the smallest (min side), with a
+/// relative slack of 1e-12 for rounding. max and min are exact, so the
+/// spread, the series and every result byte equal the full scan's.
+///
+/// A node's clock, start flag and integration state change only at its own
+/// events (Simulator::last_event_node) or at fleet-wide ones. So a call that
+/// follows exactly one node event re-keys that node alone; every other call
+/// rebuilds all keys with one full scan. That covers fleet-wide events
+/// (churn stop, epoch switch, corruption, adversary timer), a topology
+/// change, zero or several events since the previous call (the runner's
+/// stepping-loop samples), a re-keyed node whose logical slopes leave the
+/// band, and at least one rebuild per series_interval, which re-tightens the
+/// band. Re-keying and rebuilds run on every call, decimated ones included.
+/// The `include` predicate, like the simulator's include probe, must change
+/// only at the node's own events.
+///
+/// Sparse graphs and the parallel engine (sim_threads > 1) keep the full
+/// scan: every honest node is read at every sample. The sparse pass is built
+/// to survive n = 10^6: per-node scratch is marked with a generation counter
+/// (no O(n) re-zeroing per sample), and the O(E) adjacent-pair rescan is
+/// skipped entirely — reusing the previous result bit-for-bit — when the
+/// sampled set, every sampled value, and the live graph are all unchanged
+/// since the last sample. Every node carries its 16 bytes of scratch at
+/// every n, so local skew covers every adjacent pair.
 namespace stclock {
 
 class SkewTracker {
@@ -48,10 +77,12 @@ class SkewTracker {
   void set_steady_start(RealTime t) { steady_start_ = t; }
 
   /// Decimates sampling itself: samples closer than `gap` to the previous
-  /// one are dropped wholesale. At n >= the scale threshold the per-event
-  /// O(n) value sweep is what dominates a run, and event densities make
-  /// per-event sampling redundant; the runner engages this only for fleets
-  /// far above everything the golden suite pins. 0 (the default) keeps the
+  /// one are dropped wholesale, except the first sample at or after the
+  /// stabilization watch's start (set_stabilization), which always counts.
+  /// At n >= the scale threshold the per-event O(n) value sweep is what
+  /// dominates a run, and event densities make per-event sampling
+  /// redundant; the runner engages this only for fleets far above
+  /// everything the golden suite pins. 0 (the default) keeps the
   /// every-event behavior.
   void set_min_sample_gap(Duration gap) { min_sample_gap_ = gap; }
 
@@ -80,6 +111,9 @@ class SkewTracker {
   /// Max skew over topology-adjacent pairs (== max_skew when complete).
   [[nodiscard]] double local_skew() const { return local_skew_; }
   [[nodiscard]] double steady_local_skew() const { return steady_local_skew_; }
+  /// The spread the latest sample() call measured; -1 when that call was
+  /// decimated or found no included node.
+  [[nodiscard]] double last_spread() const { return last_spread_; }
 
   /// Decimated (time, spread) series for the skew-trace figure.
   [[nodiscard]] const std::vector<std::pair<RealTime, double>>& series() const {
@@ -87,11 +121,45 @@ class SkewTracker {
   }
 
  private:
+  /// Binary heap of node ids over a per-node key, the max on top when
+  /// `max_top`, else the min; `slot` finds a node's entry, so re-keying one
+  /// node costs O(log n).
+  struct KeyHeap {
+    static constexpr std::uint32_t kAbsent = 0xffffffffu;
+    explicit KeyHeap(bool top) : max_top(top) {}
+    bool max_top;
+    std::vector<NodeId> ids;
+    std::vector<std::uint32_t> slot;  ///< per node: index into ids, or kAbsent
+    std::vector<double> key;          ///< per node
+
+    void reset(std::size_t n);
+    /// Appends without ordering; heapify() restores the heap.
+    void append(NodeId id, double k);
+    void heapify();
+    void set(NodeId id, double k);
+    void erase(NodeId id);
+    [[nodiscard]] bool above(double a, double b) const { return max_top ? a > b : a < b; }
+    void sift_up(std::size_t i);
+    void sift_down(std::size_t i);
+    void put(std::size_t i, NodeId id);
+  };
+
+  [[nodiscard]] bool included(const Simulator& sim, NodeId id) const;
+  /// Full scan: reads every included node into hi/lo, re-keys all of them
+  /// and re-derives the band. Returns false when no node is included.
+  bool rebuild(const Simulator& sim, RealTime t, double& lo, double& hi);
+  /// Re-keys `id` after its own event; false when its live logical slopes
+  /// leave the band, which needs a rebuild.
+  bool rekey(const Simulator& sim, NodeId id, RealTime t);
+  /// The pruned read: hi/lo from the candidates the keys cannot rule out.
+  bool pruned_extremes(const Simulator& sim, RealTime t, double& lo, double& hi);
+
   Duration series_interval_;
   std::function<bool(NodeId)> include_;
   RealTime steady_start_ = 0;
   Duration min_sample_gap_ = 0;
   RealTime last_sample_time_ = -1;
+  double last_spread_ = -1;
 
   bool stab_armed_ = false;
   RealTime stab_after_ = 0;
@@ -107,6 +175,18 @@ class SkewTracker {
   RealTime max_skew_time_ = 0;
   RealTime last_series_sample_ = -1;
   std::vector<std::pair<RealTime, double>> series_;
+
+  /// Slope-band state (complete topology, sequential engine). The keys are
+  /// valid iff keyed_ and the graph is still keyed_topology_.
+  bool keyed_ = false;
+  const Topology* keyed_topology_ = nullptr;
+  RealTime keyed_at_ = 0;        ///< time of the last rebuild
+  std::uint64_t seen_events_ = 0;  ///< events_dispatched() at the last call
+  double slope_lo_ = 1, slope_hi_ = 1;  ///< logical slopes live on keyed nodes
+  double r_lo_ = 1, r_hi_ = 1;  ///< the band: honest hardware rates times slopes
+  KeyHeap upper_{true};   ///< key v − r_hi·s, max on top
+  KeyHeap lower_{false};  ///< key v − r_lo·s, min on top
+  std::vector<std::uint32_t> walk_;   ///< heap-walk stack, reused
 
   /// Per-node sample scratch for the sparse local-skew pass, sized n. A slot
   /// holds a current value iff gen_[id] == cur_gen_ — bumping cur_gen_

@@ -91,6 +91,46 @@ TEST(SkewTrackerTest, SeriesIsDecimated) {
   EXPECT_GE(tracker.series().size(), 4u);
 }
 
+/// Arms one timer at hardware time `at`; its firing is an ordinary event.
+class OneTimer final : public Process {
+ public:
+  explicit OneTimer(LocalTime at) : at_(at) {}
+  void on_start(Context& ctx) override { (void)ctx.set_timer_at_hardware(at_); }
+  void on_message(Context&, NodeId, const Message&) override {}
+  void on_timer(Context&, TimerId) override {}
+
+ private:
+  LocalTime at_;
+};
+
+TEST(SkewTrackerTest, DecimationKeepsTheFirstSampleOfTheStabilizationWatch) {
+  // A spread of 0.001 throughout, and a timer corruption at t = 1 that
+  // moves no clock: the run never leaves its 0.01 bound, so recovery takes
+  // 0. The timers at t = 0.9 are sampled, which puts the corruption event
+  // inside the 0.5 s sample gap; that first post-event sample must count
+  // anyway, or the next one (t = 3) would report a recovery time of 2.
+  std::vector<HardwareClock> clocks;
+  clocks.emplace_back(0.0, 1.0);
+  clocks.emplace_back(0.001, 1.0);
+  SimParams params;
+  params.n = 2;
+  params.tdel = 0.01;
+  params.corruptions.push_back(CorruptionEvent{1.0, 1.0, kCorruptTimers, 0.0});
+  Simulator sim(params, std::move(clocks), std::make_unique<FixedDelay>(0.0), nullptr);
+  sim.set_process(0, std::make_unique<OneTimer>(0.9));
+  sim.set_process(1, std::make_unique<OneTimer>(0.901));
+
+  SkewTracker tracker(0.1);
+  tracker.set_min_sample_gap(0.5);
+  tracker.set_stabilization(1.0, 0.01);
+  sim.set_post_event_hook([&tracker](const Simulator& s) { tracker.sample(s); });
+  sim.run_until(3.0);
+  tracker.sample(sim);
+  EXPECT_EQ(sim.corruption_events_fired(), 1u);
+  EXPECT_TRUE(tracker.stabilized());
+  EXPECT_EQ(tracker.stabilization_time(), 0.0);
+}
+
 TEST(EnvelopeTrackerTest, RecoversConstantRates) {
   std::vector<HardwareClock> clocks;
   clocks.emplace_back(0.0, 1.02);
