@@ -22,7 +22,7 @@
 #             `git archive` into a temporary directory and its bench_suite
 #             built there in Release; then N pairs (default 10) of fresh
 #             `bench_suite --workload W --trace 0 --seconds T` children run
-#             alternately, A B A B ..., so host drift hits both sides alike
+#             alternately, A B B A A B ..., so host drift hits both sides alike
 #             (T defaults to 5; each child reports the median of its own
 #             >= 3 repeats). Prints each pair's wall_s and B/A ratio, then
 #             the median ratio with a 95% bootstrap interval over the pairs,
@@ -127,8 +127,14 @@ print(f"bench.sh: A = {env['A_NAME']}, B = {env['B_NAME']}, workload {workload},
 ratios = {m: [] for m in metrics}
 digests = {"A": set(), "B": set()}
 for p in range(1, pairs + 1):
-    a, da = run(env["A_BIN"])
-    b, db = run(env["B_BIN"])
+    # Which side runs first alternates too, so neither always gets a
+    # freshly idle host.
+    if p % 2:
+        a, da = run(env["A_BIN"])
+        b, db = run(env["B_BIN"])
+    else:
+        b, db = run(env["B_BIN"])
+        a, da = run(env["A_BIN"])
     digests["A"] |= da
     digests["B"] |= db
     for m in metrics:

@@ -14,7 +14,10 @@
 #include "sim/corruption.h"
 #include "sim/process.h"
 #include "trace/envelope.h"
-#include "trace/skew_tracker.h"
+
+namespace stclock {
+class SkewTracker;
+}  // namespace stclock
 
 /// The unified experiment API: one engine runs every protocol — both
 /// Srikanth–Toueg variants and all prior-work baselines — on an identical

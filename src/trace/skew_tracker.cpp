@@ -100,14 +100,6 @@ void SkewTracker::KeyHeap::sift_down(std::size_t i) {
 
 // --- Slope-band pruning ---
 
-bool SkewTracker::included(const Simulator& sim, NodeId id) const {
-  // observe_* rather than is_started/logical: mid-window under the parallel
-  // engine these report the committed pre-state, keeping hook-driven samples
-  // bit-identical to the sequential engine.
-  if (!sim.observe_started(id)) return false;
-  return include_ ? include_(id) : sim.observe_include(id);
-}
-
 bool SkewTracker::rebuild(const Simulator& sim, RealTime t, double& lo, double& hi) {
   upper_.reset(sim.n());
   lower_.reset(sim.n());
@@ -171,50 +163,33 @@ bool SkewTracker::rekey(const Simulator& sim, NodeId id, RealTime t) {
   return true;
 }
 
-bool SkewTracker::pruned_extremes(const Simulator& sim, RealTime t, double& lo, double& hi) {
-  if (upper_.ids.empty()) return false;
-  // Max side: a node keyed k reads at most k + r_hi·t now, so once a reading
-  // `hi` is in hand every node keyed below hi − r_hi·t (less the slack) is
-  // out, and so is its whole subtree. The floor only rises, so a pruned
-  // subtree stays pruned.
-  hi = -kInf;
-  double floor = -kInf;
+double SkewTracker::walk_extreme(const KeyHeap& heap, double rate, const Simulator& sim,
+                                 RealTime t) {
+  // Max heap (keys v − r_hi·s): a node keyed k reads at most k + r_hi·t now,
+  // so once a reading `best` is in hand every node keyed below
+  // best − r_hi·t, less the slack, is out, and so is its whole subtree. The
+  // bound only tightens, so a pruned subtree stays pruned. The min heap
+  // (keys v − r_lo·s, lower bounds k + r_lo·t) mirrors it.
+  const double sign = heap.max_top ? 1 : -1;
+  double best = -sign * kInf;
+  double bound = -sign * kInf;
   walk_.assign(1, 0);
   while (!walk_.empty()) {
     const std::uint32_t i = walk_.back();
     walk_.pop_back();
-    const NodeId id = upper_.ids[i];
-    if (upper_.key[id] < floor) continue;
+    const NodeId id = heap.ids[i];
+    if (heap.above(bound, heap.key[id])) continue;
     const double c = sim.observe_logical(id, t);
-    if (c > hi) {
-      hi = c;
-      floor = hi - r_hi_ * t - kRelSlack * (1 + std::abs(hi) + r_hi_ * t);
+    if (heap.above(c, best)) {
+      best = c;
+      bound = best - rate * t - sign * kRelSlack * (1 + std::abs(best) + r_hi_ * t);
     }
-    for (std::uint32_t child = 2 * i + 1; child <= 2 * i + 2 && child < upper_.ids.size();
+    for (std::uint32_t child = 2 * i + 1; child <= 2 * i + 2 && child < heap.ids.size();
          ++child) {
       walk_.push_back(child);
     }
   }
-  // Min side, mirrored: a node keyed k reads at least k + r_lo·t.
-  lo = kInf;
-  double ceiling = kInf;
-  walk_.assign(1, 0);
-  while (!walk_.empty()) {
-    const std::uint32_t i = walk_.back();
-    walk_.pop_back();
-    const NodeId id = lower_.ids[i];
-    if (lower_.key[id] > ceiling) continue;
-    const double c = sim.observe_logical(id, t);
-    if (c < lo) {
-      lo = c;
-      ceiling = lo - r_lo_ * t + kRelSlack * (1 + std::abs(lo) + r_hi_ * t);
-    }
-    for (std::uint32_t child = 2 * i + 1; child <= 2 * i + 2 && child < lower_.ids.size();
-         ++child) {
-      walk_.push_back(child);
-    }
-  }
-  return true;
+  return best;
 }
 
 void SkewTracker::sample(const Simulator& sim) {
@@ -229,7 +204,7 @@ void SkewTracker::sample(const Simulator& sim) {
   const bool banded = !sparse && sim.params().sim_threads == 1;
 
   double lo = 0, hi = 0;
-  bool read = false;      // a rebuild already read this call's extremes
+  bool rebuilt = false;   // the rebuild's full scan already read the extremes
   bool measured = false;  // some node is included
   if (banded) {
     // Keys follow every event, decimated calls included.
@@ -241,7 +216,7 @@ void SkewTracker::sample(const Simulator& sim) {
                          t - keyed_at_ < series_interval_ && rekey(sim, node, t);
     if (!current) {
       measured = rebuild(sim, t, lo, hi);
-      read = true;
+      rebuilt = true;
     }
   } else {
     keyed_ = false;
@@ -260,7 +235,11 @@ void SkewTracker::sample(const Simulator& sim) {
   bool set_grew = false;       // a node sampled now that was not last time
   bool value_changed = false;  // a re-sampled node read a different value
   if (banded) {
-    if (!read) measured = pruned_extremes(sim, t, lo, hi);
+    if (!rebuilt && !upper_.ids.empty()) {
+      hi = walk_extreme(upper_, r_hi_, sim, t);
+      lo = walk_extreme(lower_, r_lo_, sim, t);
+      measured = true;
+    }
   } else {
     const std::uint64_t prev_gen = cur_gen_;
     if (sparse) {

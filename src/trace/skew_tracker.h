@@ -144,15 +144,24 @@ class SkewTracker {
     void put(std::size_t i, NodeId id);
   };
 
-  [[nodiscard]] bool included(const Simulator& sim, NodeId id) const;
+  /// Whether honest node `id` counts now. observe_* rather than
+  /// is_started/logical: mid-window under the parallel engine these report
+  /// the committed pre-state, keeping hook-driven samples bit-identical to
+  /// the sequential engine. Defined here so the full scan's loop inlines it.
+  [[nodiscard]] bool included(const Simulator& sim, NodeId id) const {
+    if (!sim.observe_started(id)) return false;
+    return include_ ? include_(id) : sim.observe_include(id);
+  }
   /// Full scan: reads every included node into hi/lo, re-keys all of them
   /// and re-derives the band. Returns false when no node is included.
   bool rebuild(const Simulator& sim, RealTime t, double& lo, double& hi);
   /// Re-keys `id` after its own event; false when its live logical slopes
   /// leave the band, which needs a rebuild.
   bool rekey(const Simulator& sim, NodeId id, RealTime t);
-  /// The pruned read: hi/lo from the candidates the keys cannot rule out.
-  bool pruned_extremes(const Simulator& sim, RealTime t, double& lo, double& hi);
+  /// The pruned read of one side: walks `heap` from its top, reading only
+  /// nodes whose bound at `rate` can still beat the best reading, and
+  /// returns the max (max heap) or min (min heap) over the included nodes.
+  double walk_extreme(const KeyHeap& heap, double rate, const Simulator& sim, RealTime t);
 
   Duration series_interval_;
   std::function<bool(NodeId)> include_;
