@@ -372,7 +372,6 @@ class Simulator {
   RealTime now_ = 0;
   bool started_ = false;
   std::uint64_t events_dispatched_ = 0;
-  NodeId last_event_node_ = kNoNode;
   std::uint64_t messages_dropped_ = 0;
   /// Epoch, corruption and adversary timers (a handful per run).
   std::vector<TimerState> fleet_timers_;
@@ -412,6 +411,7 @@ class Simulator {
   Duration lookahead_ = 0;
   bool par_checked_ = false;
   std::uint64_t parallel_windows_ = 0;
+  NodeId last_event_node_ = kNoNode;
 };
 
 template <typename Visit>

@@ -192,6 +192,42 @@ double SkewTracker::walk_extreme(const KeyHeap& heap, double rate, const Simulat
   return best;
 }
 
+bool SkewTracker::decimated(RealTime t) const {
+  // The first sample of the stabilization watch is never decimated: it
+  // decides whether the spread stayed inside from the event on.
+  const bool stab_first = stab_armed_ && !stab_post_seen_ && t >= stab_after_;
+  return min_sample_gap_ > 0 && last_sample_time_ >= 0 && t - last_sample_time_ < min_sample_gap_ &&
+         !stab_first;
+}
+
+void SkewTracker::sample_banded(const Simulator& sim, RealTime t) {
+  // Keys follow every event, decimated calls included.
+  const std::uint64_t events = sim.events_dispatched();
+  const NodeId node = sim.last_event_node();
+  const bool one_node_event = events == seen_events_ + 1 && node != Simulator::kNoNode;
+  seen_events_ = events;
+  const bool current = keyed_ && sim.current_topology() == keyed_topology_ && one_node_event &&
+                       t - keyed_at_ < series_interval_ && rekey(sim, node, t);
+  double lo = 0, hi = 0;
+  bool measured = false;  // some node is included
+  if (!current) measured = rebuild(sim, t, lo, hi);
+  if (decimated(t)) {
+    last_spread_ = -1;
+    return;
+  }
+  if (current && !upper_.ids.empty()) {
+    hi = walk_extreme(upper_, r_hi_, sim, t);
+    lo = walk_extreme(lower_, r_lo_, sim, t);
+    measured = true;
+  }
+  if (!measured) {  // nothing to measure yet
+    last_spread_ = -1;
+    return;
+  }
+  // Every pair is adjacent: the local skew is the spread.
+  record(t, hi - lo, hi - lo);
+}
+
 void SkewTracker::sample(const Simulator& sim) {
   const RealTime t = sim.now();
   // The adjacency live RIGHT NOW: on a dynamic topology this moves with the
@@ -201,104 +237,54 @@ void SkewTracker::sample(const Simulator& sim) {
   // adjacent, so the local skew IS the spread and the O(E) pass is skipped.
   const Topology* topology = sim.current_topology();
   const bool sparse = !topology->is_complete();
-  const bool banded = !sparse && sim.params().sim_threads == 1;
-
-  double lo = 0, hi = 0;
-  bool rebuilt = false;   // the rebuild's full scan already read the extremes
-  bool measured = false;  // some node is included
-  if (banded) {
-    // Keys follow every event, decimated calls included.
-    const std::uint64_t events = sim.events_dispatched();
-    const NodeId node = sim.last_event_node();
-    const bool one_node_event = events == seen_events_ + 1 && node != Simulator::kNoNode;
-    seen_events_ = events;
-    const bool current = keyed_ && topology == keyed_topology_ && one_node_event &&
-                         t - keyed_at_ < series_interval_ && rekey(sim, node, t);
-    if (!current) {
-      measured = rebuild(sim, t, lo, hi);
-      rebuilt = true;
-    }
-  } else {
-    keyed_ = false;
+  if (!sparse && sim.params().sim_threads == 1) {
+    sample_banded(sim, t);
+    return;
   }
-
-  // The first sample of the stabilization watch is never decimated: it
-  // decides whether the spread stayed inside from the event on.
-  const bool stab_first = stab_armed_ && !stab_post_seen_ && t >= stab_after_;
-  if (min_sample_gap_ > 0 && last_sample_time_ >= 0 && t - last_sample_time_ < min_sample_gap_ &&
-      !stab_first) {
+  keyed_ = false;
+  if (decimated(t)) {
     last_spread_ = -1;
     return;
   }
+  const std::uint64_t prev_gen = cur_gen_;
+  if (sparse) {
+    values_.resize(sim.n());
+    gen_.resize(sim.n(), 0);
+    ++cur_gen_;
+  }
 
+  double lo = 0, hi = 0;
+  bool first = true;
   std::uint32_t sampled_count = 0;
   bool set_grew = false;       // a node sampled now that was not last time
   bool value_changed = false;  // a re-sampled node read a different value
-  if (banded) {
-    if (!rebuilt && !upper_.ids.empty()) {
-      hi = walk_extreme(upper_, r_hi_, sim, t);
-      lo = walk_extreme(lower_, r_lo_, sim, t);
-      measured = true;
-    }
-  } else {
-    const std::uint64_t prev_gen = cur_gen_;
+  for (NodeId id : sim.honest_ids()) {
+    if (!included(sim, id)) continue;
+    const double c = sim.observe_logical(id, t);
     if (sparse) {
-      values_.resize(sim.n());
-      gen_.resize(sim.n(), 0);
-      ++cur_gen_;
+      if (gen_[id] != prev_gen) {
+        set_grew = true;
+      } else if (values_[id] != c) {
+        value_changed = true;
+      }
+      values_[id] = c;
+      gen_[id] = cur_gen_;
+      ++sampled_count;
     }
-    for (NodeId id : sim.honest_ids()) {
-      if (!included(sim, id)) continue;
-      const double c = sim.observe_logical(id, t);
-      if (sparse) {
-        if (gen_[id] != prev_gen) {
-          set_grew = true;
-        } else if (values_[id] != c) {
-          value_changed = true;
-        }
-        values_[id] = c;
-        gen_[id] = cur_gen_;
-        ++sampled_count;
-      }
-      if (!measured) {
-        lo = hi = c;
-        measured = true;
-      } else {
-        lo = std::min(lo, c);
-        hi = std::max(hi, c);
-      }
+    if (first) {
+      lo = hi = c;
+      first = false;
+    } else {
+      lo = std::min(lo, c);
+      hi = std::max(hi, c);
     }
   }
-  if (!measured) {  // nothing to measure yet
+  if (first) {  // nothing to measure yet
     last_spread_ = -1;
     return;
   }
-  last_sample_time_ = t;
 
   const double spread = hi - lo;
-  last_spread_ = spread;
-  if (spread > max_skew_) {
-    max_skew_ = spread;
-    max_skew_time_ = t;
-  }
-  if (t >= steady_start_) steady_max_skew_ = std::max(steady_max_skew_, spread);
-
-  if (stab_armed_) {
-    if (t < stab_after_) {
-      // Pre-corruption reference for the auto threshold: how tight the run
-      // was once past its convergence prefix.
-      if (t >= steady_start_) stab_pre_max_ = std::max(stab_pre_max_, spread);
-    } else {
-      stab_post_seen_ = true;
-      const double threshold = stab_threshold_ > 0 ? stab_threshold_ : stab_pre_max_;
-      if (spread > threshold) {
-        stab_candidate_ = -1;  // violating: any inside streak is void
-      } else if (stab_candidate_ < 0) {
-        stab_candidate_ = t;  // a new inside streak begins here
-      }
-    }
-  }
-
   double local = spread;
   if (sparse) {
     // Counts equal with no additions means no drops either, so the sampled
@@ -325,6 +311,34 @@ void SkewTracker::sample(const Simulator& sim) {
     last_topology_ = topology;
     last_sampled_count_ = sampled_count;
   }
+  record(t, spread, local);
+}
+
+void SkewTracker::record(RealTime t, double spread, double local) {
+  last_sample_time_ = t;
+  last_spread_ = spread;
+  if (spread > max_skew_) {
+    max_skew_ = spread;
+    max_skew_time_ = t;
+  }
+  if (t >= steady_start_) steady_max_skew_ = std::max(steady_max_skew_, spread);
+
+  if (stab_armed_) {
+    if (t < stab_after_) {
+      // Pre-corruption reference for the auto threshold: how tight the run
+      // was once past its convergence prefix.
+      if (t >= steady_start_) stab_pre_max_ = std::max(stab_pre_max_, spread);
+    } else {
+      stab_post_seen_ = true;
+      const double threshold = stab_threshold_ > 0 ? stab_threshold_ : stab_pre_max_;
+      if (spread > threshold) {
+        stab_candidate_ = -1;  // violating: any inside streak is void
+      } else if (stab_candidate_ < 0) {
+        stab_candidate_ = t;  // a new inside streak begins here
+      }
+    }
+  }
+
   local_skew_ = std::max(local_skew_, local);
   if (t >= steady_start_) steady_local_skew_ = std::max(steady_local_skew_, local);
 

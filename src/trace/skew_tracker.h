@@ -152,6 +152,12 @@ class SkewTracker {
     if (!sim.observe_started(id)) return false;
     return include_ ? include_(id) : sim.observe_include(id);
   }
+  /// True when a sample at `t` is dropped by the minimum sample gap.
+  [[nodiscard]] bool decimated(RealTime t) const;
+  /// sample() on a complete topology with the sequential engine.
+  void sample_banded(const Simulator& sim, RealTime t);
+  /// Folds one measured sample into every statistic.
+  void record(RealTime t, double spread, double local);
   /// Full scan: reads every included node into hi/lo, re-keys all of them
   /// and re-derives the band. Returns false when no node is included.
   bool rebuild(const Simulator& sim, RealTime t, double& lo, double& hi);
@@ -168,7 +174,6 @@ class SkewTracker {
   RealTime steady_start_ = 0;
   Duration min_sample_gap_ = 0;
   RealTime last_sample_time_ = -1;
-  double last_spread_ = -1;
 
   bool stab_armed_ = false;
   RealTime stab_after_ = 0;
@@ -185,18 +190,6 @@ class SkewTracker {
   RealTime last_series_sample_ = -1;
   std::vector<std::pair<RealTime, double>> series_;
 
-  /// Slope-band state (complete topology, sequential engine). The keys are
-  /// valid iff keyed_ and the graph is still keyed_topology_.
-  bool keyed_ = false;
-  const Topology* keyed_topology_ = nullptr;
-  RealTime keyed_at_ = 0;        ///< time of the last rebuild
-  std::uint64_t seen_events_ = 0;  ///< events_dispatched() at the last call
-  double slope_lo_ = 1, slope_hi_ = 1;  ///< logical slopes live on keyed nodes
-  double r_lo_ = 1, r_hi_ = 1;  ///< the band: honest hardware rates times slopes
-  KeyHeap upper_{true};   ///< key v − r_hi·s, max on top
-  KeyHeap lower_{false};  ///< key v − r_lo·s, min on top
-  std::vector<std::uint32_t> walk_;   ///< heap-walk stack, reused
-
   /// Per-node sample scratch for the sparse local-skew pass, sized n. A slot
   /// holds a current value iff gen_[id] == cur_gen_ — bumping cur_gen_
   /// invalidates the whole array in O(1), replacing the old per-sample O(n)
@@ -211,6 +204,20 @@ class SkewTracker {
   double last_local_ = 0;
   const Topology* last_topology_ = nullptr;
   std::uint32_t last_sampled_count_ = 0;
+
+  /// Slope-band state (complete topology, sequential engine). The keys are
+  /// valid iff keyed_ and the graph is still keyed_topology_.
+  bool keyed_ = false;
+  const Topology* keyed_topology_ = nullptr;
+  RealTime keyed_at_ = 0;        ///< time of the last rebuild
+  std::uint64_t seen_events_ = 0;  ///< events_dispatched() at the last call
+  double slope_lo_ = 1, slope_hi_ = 1;  ///< logical slopes live on keyed nodes
+  double r_lo_ = 1, r_hi_ = 1;  ///< the band: honest hardware rates times slopes
+  KeyHeap upper_{true};   ///< key v − r_hi·s, max on top
+  KeyHeap lower_{false};  ///< key v − r_lo·s, min on top
+  std::vector<std::uint32_t> walk_;   ///< heap-walk stack, reused
+
+  double last_spread_ = -1;  ///< see last_spread()
 };
 
 }  // namespace stclock
