@@ -16,20 +16,21 @@
 #   --label   label recorded with the run (default: git describe)
 #   build-dir defaults to build-bench
 #
-#        scripts/bench.sh --ab REV_A REV_B --workload W [--pairs N] [--seconds T]
+#        scripts/bench.sh --ab REV_A REV_B --workload W [--pairs N]
 #   --ab      paired A/B comparison of two committed revisions on one
 #             bench_suite workload. Each revision is exported with
 #             `git archive` into a temporary directory and its bench_suite
 #             built there in Release; then N pairs (default 10) of fresh
 #             `bench_suite --workload W --trace 0 --seconds T` children run
 #             alternately, A B B A A B ..., so host drift hits both sides alike
-#             (T defaults to 5; each child reports the median of its own
-#             >= 3 repeats). Prints each pair's wall_s and B/A ratio, then
-#             the median ratio with a 95% bootstrap interval over the pairs,
-#             for wall_s and events_per_s; the last line is the same summary
-#             as JSON. Exits 1 when a child fails or the two revisions'
-#             result digests differ. Touches neither the checkout nor
-#             BENCH_core.json.
+#             (T is BENCHMARK.json's run_seconds, the benchmark's own run
+#             length; each child reports the median of its own >= 3 repeats).
+#             Prints each pair's four end-to-end metrics (wall_s,
+#             events_per_s, peak_rss_mb, setup_s) with their B/A ratios, then
+#             per metric the median ratio with a 95% bootstrap interval over
+#             the pairs; the last line is the same summary as JSON. Exits 1
+#             when a child fails or the two revisions' result digests differ.
+#             Touches neither the checkout nor BENCH_core.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,10 +42,9 @@ AB_A=""
 AB_B=""
 AB_WORKLOAD=""
 AB_PAIRS=10
-AB_SECONDS=5
 usage() {
   echo "usage: scripts/bench.sh [--smoke] [--scale] [--label NAME] [build-dir]"
-  echo "       scripts/bench.sh --ab REV_A REV_B --workload W [--pairs N] [--seconds T]"
+  echo "       scripts/bench.sh --ab REV_A REV_B --workload W [--pairs N]"
 }
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -56,12 +56,11 @@ while [[ $# -gt 0 ]]; do
     --ab)
       [[ $# -ge 3 ]] || { echo "bench.sh: --ab needs two revisions (see --help)" >&2; exit 2; }
       AB_A="$2"; AB_B="$3"; shift 3 ;;
-    --workload|--pairs|--seconds)
+    --workload|--pairs)
       [[ $# -ge 2 ]] || { echo "bench.sh: $1 needs a value (see --help)" >&2; exit 2; }
       case "$1" in
         --workload) AB_WORKLOAD="$2" ;;
         --pairs) AB_PAIRS="$2" ;;
-        --seconds) AB_SECONDS="$2" ;;
       esac
       shift 2 ;;
     -h|--help) usage; exit 0 ;;
@@ -76,6 +75,7 @@ if [[ -n "$AB_A" ]]; then
     || { echo "bench.sh: --ab does not combine with --scale or --smoke" >&2; exit 2; }
   [[ "$AB_PAIRS" =~ ^[1-9][0-9]*$ ]] \
     || { echo "bench.sh: --pairs must be a positive integer" >&2; exit 2; }
+  AB_SECONDS="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
   SHA_A="$(git rev-parse --verify "$AB_A^{commit}")"
   SHA_B="$(git rev-parse --verify "$AB_B^{commit}")"
   WORK="$(mktemp -d "${TMPDIR:-/tmp}/bench-ab.XXXXXX")"
@@ -97,7 +97,10 @@ import json, os, random, statistics, subprocess, sys
 
 env = os.environ
 workload, pairs, seconds = env["WORKLOAD"], int(env["PAIRS"]), env["SECONDS_PER_RUN"]
-metrics = ("wall_s", "events_per_s")
+# Every end-to-end metric of BENCHMARK.json; only events_per_s is better
+# higher.
+metrics = ("wall_s", "events_per_s", "peak_rss_mb", "setup_s")
+higher_better = {"events_per_s"}
 
 
 def run(binary):
@@ -139,13 +142,13 @@ for p in range(1, pairs + 1):
     digests["B"] |= db
     for m in metrics:
         ratios[m].append(b[m] / a[m])
-    print(f"pair {p}: wall_s A {a['wall_s']:.3f} B {b['wall_s']:.3f} B/A "
-          f"{ratios['wall_s'][-1]:.3f}", flush=True)
+    print(f"pair {p}: " + "; ".join(f"{m} A {a[m]:.4g} B {b[m]:.4g} B/A {ratios[m][-1]:.3f}"
+                                     for m in metrics), flush=True)
 
 summary = {"a": env["A_NAME"], "b": env["B_NAME"], "workload": workload, "pairs": pairs}
 for m in metrics:
     med, lo, hi = interval(ratios[m])
-    better = sum(r < 1 if m == "wall_s" else r > 1 for r in ratios[m])
+    better = sum(r > 1 if m in higher_better else r < 1 for r in ratios[m])
     print(f"{m} B/A: median {med:.3f}, 95% bootstrap interval [{lo:.3f}, {hi:.3f}]; "
           f"B better in {better} of {pairs} pairs")
     summary[m] = {"ratios": [round(r, 4) for r in ratios[m]], "median": round(med, 4),

@@ -103,23 +103,30 @@ void SkewTracker::KeyHeap::sift_down(std::size_t i) {
 bool SkewTracker::rebuild(const Simulator& sim, RealTime t, double& lo, double& hi) {
   upper_.reset(sim.n());
   lower_.reset(sim.n());
-  double hw_lo = kInf, hw_hi = -kInf;
+  if (hw_range_of_ != &sim) {
+    // Every honest clock's rates count, included or not: a node that boots
+    // or integrates later is re-keyed under this band without a rebuild.
+    // Hardware trajectories are fixed before the run starts and corruption
+    // leaves them alone, so one pass serves the whole run.
+    hw_lo_ = kInf;
+    hw_hi_ = -kInf;
+    for (NodeId id : sim.honest_ids()) {
+      const auto [rate_lo, rate_hi] = sim.hardware(id).rate_range();
+      hw_lo_ = std::min(hw_lo_, rate_lo);
+      hw_hi_ = std::max(hw_hi_, rate_hi);
+    }
+    hw_range_of_ = &sim;
+  }
   slope_lo_ = kInf;
   slope_hi_ = -kInf;
   lo = kInf;
   hi = -kInf;
   for (NodeId id : sim.honest_ids()) {
-    // Every honest clock's rates count, included or not: a node that boots
-    // or integrates later is re-keyed under this band without a rebuild.
-    const HardwareClock& hw = sim.hardware(id);
-    const auto [rate_lo, rate_hi] = hw.rate_range();
-    hw_lo = std::min(hw_lo, rate_lo);
-    hw_hi = std::max(hw_hi, rate_hi);
     if (!included(sim, id)) continue;
     const double c = sim.observe_logical(id, t);
     lo = std::min(lo, c);
     hi = std::max(hi, c);
-    const auto [s_lo, s_hi] = sim.logical(id).slope_range_from(hw.read(t));
+    const auto [s_lo, s_hi] = sim.logical(id).slope_range_from(sim.hardware(id).read(t));
     slope_lo_ = std::min(slope_lo_, s_lo);
     slope_hi_ = std::max(slope_hi_, s_hi);
     // The reading rides in both heaps until the band is known.
@@ -132,8 +139,8 @@ bool SkewTracker::rebuild(const Simulator& sim, RealTime t, double& lo, double& 
   if (upper_.ids.empty()) return false;
   // dC/dt = (logical slope) * (hardware rate): the band is the product of
   // the two ranges.
-  const double products[] = {hw_lo * slope_lo_, hw_lo * slope_hi_, hw_hi * slope_lo_,
-                             hw_hi * slope_hi_};
+  const double products[] = {hw_lo_ * slope_lo_, hw_lo_ * slope_hi_, hw_hi_ * slope_lo_,
+                             hw_hi_ * slope_hi_};
   r_lo_ = *std::min_element(std::begin(products), std::end(products));
   r_hi_ = *std::max_element(std::begin(products), std::end(products));
   for (NodeId id : upper_.ids) {

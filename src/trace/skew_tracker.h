@@ -211,6 +211,8 @@ class SkewTracker {
   const Topology* keyed_topology_ = nullptr;
   RealTime keyed_at_ = 0;        ///< time of the last rebuild
   std::uint64_t seen_events_ = 0;  ///< events_dispatched() at the last call
+  const Simulator* hw_range_of_ = nullptr;  ///< the run hw_lo_/hw_hi_ belong to
+  double hw_lo_ = 1, hw_hi_ = 1;  ///< honest hardware segment rates, whole run
   double slope_lo_ = 1, slope_hi_ = 1;  ///< logical slopes live on keyed nodes
   double r_lo_ = 1, r_hi_ = 1;  ///< the band: honest hardware rates times slopes
   KeyHeap upper_{true};   ///< key v − r_hi·s, max on top
