@@ -2,6 +2,7 @@
 
 #include "crypto/signature.h"
 #include "sim/message.h"
+#include "util/bytes.h"
 
 namespace stclock {
 namespace {
@@ -61,6 +62,51 @@ TEST(Signature, DeterministicAcrossReconstruction) {
 TEST(Signature, SignerOutOfRangeThrows) {
   const crypto::KeyRegistry registry(4, 1);
   EXPECT_THROW((void)registry.signer_for(4), std::logic_error);
+}
+
+// The MAC bytes are part of every result: signatures travel in messages and
+// their bytes feed the run. These were computed by the plain
+// HMAC-SHA256-from-the-raw-key implementation and agree with Python's
+// hmac/hashlib. The payload lengths straddle every SHA-256 padding and block
+// boundary of the inner hash once the 64-byte key block is in front: 0, 55,
+// 56 and 63 pad within or spill past the payload's first block, 64 and 65
+// fill it exactly or cross it, 119/120 do the same one block later, 128 fills
+// two blocks.
+TEST(Signature, MacBytesArePinned) {
+  struct Pin {
+    std::size_t length;
+    std::uint64_t master_seed;
+    NodeId signer;
+    const char* mac_hex;
+  };
+  const Pin pins[] = {
+      {0, 1, 0, "9bc923d76a1effc1259d9865bb78b6e960d59cedddd4977483b4858458463362"},
+      {20, 0x5eed, 3, "7faac76031a448270659f60f99423875643f5bf40986424e6841cd240ba9e71a"},
+      {55, 1, 7, "c50413514ded00bfdcda47ff5e934fc22da7deb31ec733e72f160da9057cae4d"},
+      {56, 0x5eed, 0, "ad24d15e4a3c5852d5f2f2e7880268083a57635489ad5345979534d8138151c1"},
+      {63, 1, 3, "5272e29d12ddb91443174cbe14d573d3f1eafac62b51ebe54618499a4b29dcd3"},
+      {64, 0x5eed, 7, "93775781bb964d01bc26d62591c383d26d9a2bdb2f2fe31921bc08e62a0d858c"},
+      {65, 1, 0, "2021e4ea665166f15f5ddf0d41f699c38cb058a2d9be268b3f1a7bf628c74d4b"},
+      {119, 0x5eed, 3, "7abd2d589316839dee93a824b2b22966cdcbb05587d53c195a13f28fe4679fa3"},
+      {120, 1, 7, "a907effef3b1efe8a1222ad443b299fd6c94a53939122b44907ddf9b1ab977c9"},
+      {128, 0x5eed, 0, "40f4f34952d0b1d99e373be1d607849f8a4574f4d71911d50ba25e4d67e99b7a"},
+  };
+  for (const Pin& pin : pins) {
+    Bytes payload(pin.length);
+    for (std::size_t j = 0; j < pin.length; ++j) {
+      payload[j] = static_cast<std::uint8_t>(31 * j + pin.length);
+    }
+    const crypto::KeyRegistry registry(8, pin.master_seed);
+    const crypto::Signature sig = registry.signer_for(pin.signer).sign(payload);
+    EXPECT_EQ(to_hex(sig.mac), pin.mac_hex) << "payload length " << pin.length;
+    EXPECT_TRUE(registry.verify(sig, payload)) << "payload length " << pin.length;
+  }
+  // The payload every protocol signs: 20 bytes.
+  const crypto::KeyRegistry registry(8, 0x5eed);
+  const Bytes round = round_signing_payload(7);
+  ASSERT_EQ(round.size(), 20u);
+  EXPECT_EQ(to_hex(registry.signer_for(5).sign(round).mac),
+            "c8c03581d7bea1e062b5946e36e52f1fb788ccc2b648eadd9c7545b738777a85");
 }
 
 TEST(Signature, RoundPayloadsAreInjective) {
