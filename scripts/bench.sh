@@ -16,9 +16,11 @@
 #   --label   label recorded with the run (default: git describe)
 #   build-dir defaults to build-bench
 #
-#        scripts/bench.sh --ab REV_A REV_B --workload W [--pairs N]
+#        scripts/bench.sh --ab REV_A REV_B --workload W|all [--pairs N]
 #   --ab      paired A/B comparison of two committed revisions on one
-#             bench_suite workload. Each revision is exported with
+#             bench_suite workload, or on every workload BENCHMARK.json
+#             lists (--workload all, one after another, same builds). Each
+#             revision is exported with
 #             `git archive` into a temporary directory and its bench_suite
 #             built there in Release; then N pairs (default 10) of fresh
 #             `bench_suite --workload W --trace 0 --seconds T` children run
@@ -28,8 +30,10 @@
 #             Prints each pair's four end-to-end metrics (wall_s,
 #             events_per_s, peak_rss_mb, setup_s) with their B/A ratios, then
 #             per metric the median ratio with a 95% bootstrap interval over
-#             the pairs; the last line is the same summary as JSON. Exits 1
-#             when a child fails or the two revisions' result digests differ.
+#             the pairs, both sides' medians and A's interquartile range,
+#             and at the end one summary row per workload; the
+#             last line is the same summary as JSON. Exits 1 when a child
+#             fails or the two revisions' result digests differ.
 #             Touches neither the checkout nor BENCH_core.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -44,7 +48,7 @@ AB_WORKLOAD=""
 AB_PAIRS=10
 usage() {
   echo "usage: scripts/bench.sh [--smoke] [--scale] [--label NAME] [build-dir]"
-  echo "       scripts/bench.sh --ab REV_A REV_B --workload W [--pairs N]"
+  echo "       scripts/bench.sh --ab REV_A REV_B --workload W|all [--pairs N]"
 }
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -70,7 +74,7 @@ done
 [[ -n "$LABEL" ]] || LABEL="$(git describe --always --dirty 2>/dev/null || echo unlabelled)"
 
 if [[ -n "$AB_A" ]]; then
-  [[ -n "$AB_WORKLOAD" ]] || { echo "bench.sh: --ab needs --workload W" >&2; exit 2; }
+  [[ -n "$AB_WORKLOAD" ]] || { echo "bench.sh: --ab needs --workload W or all" >&2; exit 2; }
   [[ "$SCALE" -eq 0 && "$SMOKE" -eq 0 ]] \
     || { echo "bench.sh: --ab does not combine with --scale or --smoke" >&2; exit 2; }
   [[ "$AB_PAIRS" =~ ^[1-9][0-9]*$ ]] \
@@ -96,14 +100,17 @@ if [[ -n "$AB_A" ]]; then
 import json, os, random, statistics, subprocess, sys
 
 env = os.environ
-workload, pairs, seconds = env["WORKLOAD"], int(env["PAIRS"]), env["SECONDS_PER_RUN"]
+pairs, seconds = int(env["PAIRS"]), env["SECONDS_PER_RUN"]
+workloads = [env["WORKLOAD"]]
+if workloads == ["all"]:
+    workloads = [w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]]
 # Every end-to-end metric of BENCHMARK.json; only events_per_s is better
 # higher.
 metrics = ("wall_s", "events_per_s", "peak_rss_mb", "setup_s")
 higher_better = {"events_per_s"}
 
 
-def run(binary):
+def run(binary, workload):
     """One fresh bench_suite child: its end-to-end metrics and result digests."""
     out = subprocess.run([binary, "--workload", workload, "--seed", "1", "--seconds", seconds,
                           "--trace", "0"], capture_output=True, text=True)
@@ -125,39 +132,57 @@ def interval(ratios, draws=10000):
     return statistics.median(ratios), medians[int(0.025 * draws)], medians[int(0.975 * draws)]
 
 
-print(f"bench.sh: A = {env['A_NAME']}, B = {env['B_NAME']}, workload {workload}, "
-      f"{pairs} pairs of fresh children, --seconds {seconds}", flush=True)
-ratios = {m: [] for m in metrics}
-digests = {"A": set(), "B": set()}
-for p in range(1, pairs + 1):
-    # Which side runs first alternates too, so neither always gets a
-    # freshly idle host.
-    if p % 2:
-        a, da = run(env["A_BIN"])
-        b, db = run(env["B_BIN"])
-    else:
-        b, db = run(env["B_BIN"])
-        a, da = run(env["A_BIN"])
-    digests["A"] |= da
-    digests["B"] |= db
-    for m in metrics:
-        ratios[m].append(b[m] / a[m])
-    print(f"pair {p}: " + "; ".join(f"{m} A {a[m]:.4g} B {b[m]:.4g} B/A {ratios[m][-1]:.3f}"
-                                     for m in metrics), flush=True)
+def compare(workload):
+    """`pairs` alternating pairs on one workload: its summary dict."""
+    print(f"bench.sh: A = {env['A_NAME']}, B = {env['B_NAME']}, workload {workload}, "
+          f"{pairs} pairs of fresh children, --seconds {seconds}", flush=True)
+    values = {"A": {m: [] for m in metrics}, "B": {m: [] for m in metrics}}
+    ratios = {m: [] for m in metrics}
+    digests = {"A": set(), "B": set()}
+    for p in range(1, pairs + 1):
+        # Which side runs first alternates too, so neither always gets a
+        # freshly idle host.
+        if p % 2:
+            a, da = run(env["A_BIN"], workload)
+            b, db = run(env["B_BIN"], workload)
+        else:
+            b, db = run(env["B_BIN"], workload)
+            a, da = run(env["A_BIN"], workload)
+        digests["A"] |= da
+        digests["B"] |= db
+        for m in metrics:
+            values["A"][m].append(a[m])
+            values["B"][m].append(b[m])
+            ratios[m].append(b[m] / a[m])
+        print(f"pair {p}: " + "; ".join(f"{m} A {a[m]:.4g} B {b[m]:.4g} B/A "
+                                         f"{ratios[m][-1]:.3f}" for m in metrics), flush=True)
 
-summary = {"a": env["A_NAME"], "b": env["B_NAME"], "workload": workload, "pairs": pairs}
-for m in metrics:
-    med, lo, hi = interval(ratios[m])
-    better = sum(r > 1 if m in higher_better else r < 1 for r in ratios[m])
-    print(f"{m} B/A: median {med:.3f}, 95% bootstrap interval [{lo:.3f}, {hi:.3f}]; "
-          f"B better in {better} of {pairs} pairs")
-    summary[m] = {"ratios": [round(r, 4) for r in ratios[m]], "median": round(med, 4),
-                  "ci95": [round(lo, 4), round(hi, 4)], "b_better": better}
-summary["digests"] = {k: sorted(v) for k, v in digests.items()}
-print(json.dumps(summary))
-if digests["A"] != digests["B"]:
-    sys.exit(f"bench.sh: result digests differ: A {sorted(digests['A'])}, "
-             f"B {sorted(digests['B'])}")
+    summary = {"pairs": pairs}
+    for m in metrics:
+        med, lo, hi = interval(ratios[m])
+        better = sum(r > 1 if m in higher_better else r < 1 for r in ratios[m])
+        a_med, b_med = (statistics.median(values[side][m]) for side in "AB")
+        q1, _, q3 = statistics.quantiles(values["A"][m], n=4) if pairs > 1 else (0, 0, 0)
+        print(f"{m} B/A: median {med:.3f}, 95% bootstrap interval [{lo:.3f}, {hi:.3f}]; "
+              f"B better in {better} of {pairs} pairs; median A {a_med:.4g} B {b_med:.4g}, "
+              f"A interquartile range {q3 - q1:.3g}")
+        summary[m] = {"ratios": [round(r, 4) for r in ratios[m]], "median": round(med, 4),
+                      "ci95": [round(lo, 4), round(hi, 4)], "b_better": better,
+                      "a_median": a_med, "b_median": b_med, "a_iqr": q3 - q1}
+    summary["digests"] = {k: sorted(v) for k, v in digests.items()}
+    if digests["A"] != digests["B"]:
+        sys.exit(f"bench.sh: {workload}: result digests differ: A {sorted(digests['A'])}, "
+                 f"B {sorted(digests['B'])}")
+    return summary
+
+
+results = {w: compare(w) for w in workloads}
+# One summary row per workload.
+for w, r in results.items():
+    print(f"summary {w}: " + "; ".join(
+        f"{m} B/A {r[m]['median']:.3f} [{r[m]['ci95'][0]:.3f}, {r[m]['ci95'][1]:.3f}] "
+        f"B better {r[m]['b_better']}/{pairs}" for m in metrics))
+print(json.dumps({"a": env["A_NAME"], "b": env["B_NAME"], "workloads": results}))
 EOF
   exit 0
 fi

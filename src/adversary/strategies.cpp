@@ -97,11 +97,20 @@ class EquivocateAdversary final : public Adversary {
         static_cast<Round>(std::max(0.0, max_honest_logical(ctx) / params_.period)) + 1;
     const RealTime now = ctx.real_now();
     const std::vector<NodeId> honest = honest_ids_of(ctx);
+    const bool authenticated = params_.variant == Variant::kAuthenticated;
+    std::vector<Bytes> payloads;  // index k - k_est; serialized once per timer
+    if (authenticated) {
+      for (Round k = k_est; k <= k_est + 1 && k <= params_.max_round; ++k) {
+        payloads.push_back(round_signing_payload(k));
+      }
+    }
     for (NodeId c : corrupt_ids(ctx)) {
       for (Round k = k_est; k <= k_est + 1 && k <= params_.max_round; ++k) {
+        // One signature per (c, k), sent to every target.
+        crypto::Signature sig;
+        if (authenticated) sig = ctx.signer_for(c).sign(payloads[k - k_est]);
         for (std::size_t i = 0; i < honest.size(); i += 2) {  // half the nodes only
-          if (params_.variant == Variant::kAuthenticated) {
-            const crypto::Signature sig = ctx.signer_for(c).sign(round_signing_payload(k));
+          if (authenticated) {
             ctx.send_from(c, honest[i], Message(RoundMsg{k, {sig}}), now);
           } else {
             ctx.send_from(c, honest[i], Message(InitMsg{k}), now);

@@ -26,7 +26,7 @@ void HssdProtocol::on_timer(Context& ctx, TimerId id) {
   broadcast_timer_ = 0;
   const Round k = next_broadcast_;
   ++next_broadcast_;
-  const crypto::Signature sig = ctx.signer().sign(round_signing_payload(k));
+  const crypto::Signature sig = ctx.signer().sign(payload_for(k));
   ctx.broadcast(Message(RoundMsg{k, {sig}}));
   // Own signature triggers acceptance through self-delivery; arm the next
   // broadcast only if acceptance has not already done so.
@@ -39,9 +39,17 @@ void HssdProtocol::on_message(Context& ctx, NodeId /*from*/, const Message& m) {
   try_accept(ctx, rm->round, rm->sigs.front());
 }
 
+const Bytes& HssdProtocol::payload_for(Round k) {
+  if (payload_.empty() || payload_round_ != k) {
+    payload_ = round_signing_payload(k);
+    payload_round_ = k;
+  }
+  return payload_;
+}
+
 void HssdProtocol::try_accept(Context& ctx, Round k, const crypto::Signature& sig) {
   if (k < next_round_) return;  // already reset for this round
-  if (!ctx.registry().verify(sig, round_signing_payload(k))) return;
+  if (!ctx.registry().verify(sig, payload_for(k))) return;
 
   // Plausibility guard: the message may move our clock only within the
   // window around kP. This is the sole protection — one valid signature

@@ -46,11 +46,16 @@ class HssdProtocol final : public Process {
  private:
   void arm_broadcast(Context& ctx);
   void try_accept(Context& ctx, Round k, const crypto::Signature& sig);
+  /// round_signing_payload(k), serialized once per round: a round's relays
+  /// arrive together, so one cached round serves nearly every verify.
+  const Bytes& payload_for(Round k);
 
   HssdParams params_;
   Round next_round_ = 1;      ///< next round to resynchronize on
   Round next_broadcast_ = 1;  ///< next round to sign & broadcast at kP
   TimerId broadcast_timer_ = 0;
+  Round payload_round_ = 0;  ///< the round payload_ was serialized for
+  Bytes payload_;            ///< empty until the first payload_for call
 };
 
 }  // namespace stclock::baselines

@@ -4,8 +4,7 @@
 
 namespace stclock::crypto {
 
-Digest hmac_sha256(std::span<const std::uint8_t> key,
-                   std::span<const std::uint8_t> message) {
+HmacKeySchedule hmac_key_schedule(std::span<const std::uint8_t> key) {
   constexpr std::size_t kBlockSize = 64;
 
   // Keys longer than one block are hashed first.
@@ -24,15 +23,24 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
     opad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x5c);
   }
 
-  Sha256 inner;
-  inner.update(ipad);
+  HmacKeySchedule schedule{Sha256::kInitialState, Sha256::kInitialState};
+  Sha256::compress(schedule.inner, ipad.data());
+  Sha256::compress(schedule.outer, opad.data());
+  return schedule;
+}
+
+Digest hmac_sha256(const HmacKeySchedule& schedule, std::span<const std::uint8_t> message) {
+  Sha256 inner(schedule.inner, 1);
   inner.update(message);
   const Digest inner_digest = inner.finish();
 
-  Sha256 outer;
-  outer.update(opad);
+  Sha256 outer(schedule.outer, 1);
   outer.update(inner_digest);
   return outer.finish();
+}
+
+Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> message) {
+  return hmac_sha256(hmac_key_schedule(key), message);
 }
 
 }  // namespace stclock::crypto

@@ -27,11 +27,12 @@ constexpr std::uint32_t rotr(std::uint32_t x, int k) {
 
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+Sha256::Sha256() : state_(kInitialState) {}
 
-void Sha256::process_block(const std::uint8_t* block) {
+Sha256::Sha256(const State& state, std::uint64_t blocks)
+    : state_(state), total_bits_(blocks * 512) {}
+
+void Sha256::compress(State& state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -45,8 +46,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -65,14 +66,14 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
@@ -85,12 +86,12 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffered_ += take;
     pos += take;
     if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
+      compress(state_, buffer_.data());
       buffered_ = 0;
     }
   }
   while (data.size() - pos >= 64) {
-    process_block(data.data() + pos);
+    compress(state_, data.data() + pos);
     pos += 64;
   }
   if (pos < data.size()) {
@@ -108,27 +109,19 @@ Digest Sha256::finish() {
   ST_REQUIRE(!finished_, "Sha256: finish called twice");
   finished_ = true;
 
-  const std::uint64_t bits = total_bits_;
-  // Padding: 0x80, zeros, 64-bit big-endian length.
-  std::uint8_t pad[72];
-  std::size_t pad_len = 0;
-  pad[pad_len++] = 0x80;
-  while ((buffered_ + pad_len) % 64 != 56) pad[pad_len++] = 0;
-  for (int i = 7; i >= 0; --i) pad[pad_len++] = static_cast<std::uint8_t>(bits >> (8 * i));
-
-  // Feed padding through the block machinery without touching total_bits_.
-  std::size_t pos = 0;
-  while (pos < pad_len) {
-    const std::size_t take = std::min(pad_len - pos, std::size_t{64} - buffered_);
-    std::memcpy(buffer_.data() + buffered_, pad + pos, take);
-    buffered_ += take;
-    pos += take;
-    if (buffered_ == 64) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+  // Padding: 0x80, zeros up to 56 mod 64, the 64-bit big-endian bit length.
+  // A full buffer is always compressed at once, so there is room for 0x80.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
+    compress(state_, buffer_.data());
+    buffered_ = 0;
   }
-  ST_ENSURE(buffered_ == 0, "Sha256: padding did not align");
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(total_bits_ >> (8 * (7 - i)));
+  }
+  compress(state_, buffer_.data());
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -4,7 +4,7 @@
 #include <span>
 #include <vector>
 
-#include "crypto/sha256.h"
+#include "crypto/hmac.h"
 #include "util/types.h"
 
 /// Simulated digital signatures.
@@ -23,6 +23,16 @@
 ///    deployment this would be public-key verification against a PKI; using a
 ///    registry-mediated MAC keeps the trust model identical inside one
 ///    simulation while exercising a real crypto code path.
+///
+/// The registry keeps no raw secrets. It keeps each node's HMAC key schedule
+/// (crypto/hmac.h, RFC 2104 §4): the SHA-256 states after the key XOR ipad
+/// and key XOR opad blocks, 64 bytes per node. A sign or verify over a round
+/// payload (20 bytes) then costs two compressions, one for the padded
+/// payload block and one for the outer hash, where HMAC from the raw key
+/// costs four; the MAC bytes are the same. The schedules are all built in
+/// the constructor and never written again: the parallel engine's workers
+/// verify against one registry concurrently, so a lazily filled cache would
+/// be a data race.
 namespace stclock::crypto {
 
 struct Signature {
@@ -54,7 +64,9 @@ class KeyRegistry {
   /// Derives n per-node secrets deterministically from the master seed.
   KeyRegistry(std::uint32_t n, std::uint64_t master_seed);
 
-  [[nodiscard]] std::uint32_t size() const { return static_cast<std::uint32_t>(secrets_.size()); }
+  [[nodiscard]] std::uint32_t size() const {
+    return static_cast<std::uint32_t>(schedules_.size());
+  }
 
   /// Obtains the signing capability for one node. The caller is responsible
   /// for handing it only to that node's protocol instance (or to the
@@ -69,7 +81,7 @@ class KeyRegistry {
   friend class Signer;
   [[nodiscard]] Signature sign_as(NodeId signer, std::span<const std::uint8_t> payload) const;
 
-  std::vector<Digest> secrets_;
+  std::vector<HmacKeySchedule> schedules_;  // index = node id
 };
 
 }  // namespace stclock::crypto
