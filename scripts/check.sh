@@ -45,8 +45,9 @@
 #            it; any sanitizer report fails the gate.
 #   --tsan   additionally build under ThreadSanitizer (<build-dir>-tsan) and
 #            run the suites that exercise the parallel engine's worker pool
-#            (parallel_sim, simulator, event_queue, counters); any data-race
-#            report fails the gate.
+#            (parallel_sim, simulator, event_queue, counters) and the key
+#            registry its workers share (signature); any data-race report
+#            fails the gate.
 #
 # Uses a separate build directory so the strict flags never pollute an
 # incremental developer build.
@@ -334,17 +335,18 @@ fi
 
 if [[ "$RUN_TSAN" -eq 1 ]]; then
   # TSan watches the worker pool's actual interleavings, so run only the
-  # suites that spin it up (plus the queue/counter structures it shares);
-  # the full tree under TSan would multiply CI time for no extra coverage.
+  # suites that spin it up (plus the queue, counter and key-registry
+  # structures it shares); the full tree under TSan would multiply CI time
+  # for no extra coverage.
   TSAN_FLAGS="-fsanitize=thread -g -O1 -fno-omit-frame-pointer"
   cmake -B "$BUILD_DIR-tsan" -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$BUILD_DIR-tsan" -j \
-    --target test_parallel_sim test_simulator test_event_queue test_counters
+    --target test_parallel_sim test_simulator test_event_queue test_counters test_signature
   ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
-    -R '^(test_parallel_sim|test_simulator|test_event_queue|test_counters)$'
+    -R '^(test_parallel_sim|test_simulator|test_event_queue|test_counters|test_signature)$'
   echo "check.sh: tsan suite OK"
 fi
 echo "check.sh: all green"

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "crypto/signature.h"
 #include "sim/message.h"
 #include "util/bytes.h"
@@ -107,6 +110,36 @@ TEST(Signature, MacBytesArePinned) {
   ASSERT_EQ(round.size(), 20u);
   EXPECT_EQ(to_hex(registry.signer_for(5).sign(round).mac),
             "c8c03581d7bea1e062b5946e36e52f1fb788ccc2b648eadd9c7545b738777a85");
+}
+
+TEST(Signature, ConcurrentSignAndVerifyAgreeWithOneThread) {
+  // The parallel engine's workers share one registry; it is never written
+  // after construction, so concurrent calls need no lock. Run under
+  // ThreadSanitizer by scripts/check.sh --tsan.
+  const crypto::KeyRegistry registry(16, 3);
+  std::vector<Bytes> payloads;
+  for (Round k = 1; k <= 8; ++k) payloads.push_back(round_signing_payload(k));
+  std::vector<crypto::Signature> expected;
+  for (NodeId id = 0; id < registry.size(); ++id) {
+    for (const Bytes& p : payloads) expected.push_back(registry.signer_for(id).sign(p));
+  }
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([&, w] {
+      for (int rep = 0; rep < 8; ++rep) {
+        std::size_t i = 0;
+        for (NodeId id = 0; id < registry.size(); ++id) {
+          for (const Bytes& p : payloads) {
+            const crypto::Signature sig = registry.signer_for(id).sign(p);
+            if (sig != expected[i++] || !registry.verify(sig, p)) ++mismatches[w];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
 }
 
 TEST(Signature, RoundPayloadsAreInjective) {
