@@ -20,20 +20,20 @@
 #   --ab      paired A/B comparison of two committed revisions on one
 #             bench_suite workload, or on every workload BENCHMARK.json
 #             lists (--workload all, one after another, same builds). Each
-#             revision is exported with
-#             `git archive` into a temporary directory and its bench_suite
-#             built there in Release; then N pairs (default 10) of fresh
-#             `bench_suite --workload W --trace 0 --seconds T` children run
-#             alternately, A B B A A B ..., so host drift hits both sides alike
+#             revision is exported with `git archive` into a temporary
+#             directory and its bench_suite built there in Release; then N
+#             pairs (default 10) of fresh `bench_suite --workload W --trace 0
+#             --seconds T` children run alternately, A B B A A B ..., so host
+#             drift hits both sides alike
 #             (T is BENCHMARK.json's run_seconds, the benchmark's own run
 #             length; each child reports the median of its own >= 3 repeats).
 #             Prints each pair's four end-to-end metrics (wall_s,
 #             events_per_s, peak_rss_mb, setup_s) with their B/A ratios, then
 #             per metric the median ratio with a 95% bootstrap interval over
 #             the pairs, both sides' medians and A's interquartile range,
-#             and at the end one summary row per workload; the
-#             last line is the same summary as JSON. Exits 1 when a child
-#             fails or the two revisions' result digests differ.
+#             and at the end one summary row per workload; the last line is
+#             the same summary as JSON. Exits 1 when a child fails or the two
+#             revisions' result digests differ.
 #             Touches neither the checkout nor BENCH_core.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -68,28 +68,5 @@ TEST(Hmac, ExactlyBlockSizedKeyUsedVerbatim) {
   EXPECT_NE(direct, hashed_key);
 }
 
-TEST(Hmac, ScheduleOfALongKeyIsTheScheduleOfItsHash) {
-  // RFC 2104: a key longer than the block is replaced by its digest.
-  const Bytes key(131, 0xaa);
-  const Digest d = sha256(key);
-  const HmacKeySchedule a = hmac_key_schedule(key);
-  const HmacKeySchedule b = hmac_key_schedule(d);
-  EXPECT_EQ(a.inner, b.inner);
-  EXPECT_EQ(a.outer, b.outer);
-}
-
-TEST(Hmac, ScheduleIsReusableAcrossMessages) {
-  // Case 2's key; one schedule MACs several messages, each as from scratch.
-  const HmacKeySchedule schedule = hmac_key_schedule(bytes_of("Jefe"));
-  EXPECT_EQ(to_hex(hmac_sha256(schedule, bytes_of("what do ya want for nothing?"))),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-  for (const std::size_t len : {0, 20, 55, 56, 64, 119, 200}) {
-    const Bytes msg(len, 0x5a);
-    EXPECT_EQ(hmac_sha256(schedule, msg), hmac_sha256(bytes_of("Jefe"), msg)) << len;
-  }
-  EXPECT_EQ(to_hex(hmac_sha256(schedule, bytes_of("what do ya want for nothing?"))),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
 }  // namespace
 }  // namespace stclock::crypto

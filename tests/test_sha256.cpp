@@ -71,18 +71,6 @@ TEST(Sha256, DistinctInputsDistinctDigests) {
   EXPECT_NE(sha256("a"), sha256("b"));
 }
 
-TEST(Sha256, ResumingFromACompressedStateMatchesOneShot) {
-  // "abcdbcde..." is 56 bytes; prefix one block of 'x' so the resumed hasher
-  // starts after the block compress() folded in, as HMAC's schedule does.
-  const std::string block(64, 'x');
-  const std::string tail = "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
-  Sha256::State state = Sha256::kInitialState;
-  Sha256::compress(state, reinterpret_cast<const std::uint8_t*>(block.data()));
-  Sha256 resumed(state, 1);
-  resumed.update(tail);
-  EXPECT_EQ(resumed.finish(), sha256(block + tail));
-}
-
 TEST(Sha256, ReuseAfterFinishThrows) {
   Sha256 h;
   h.update("data");
