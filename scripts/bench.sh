@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Perf trajectory runner: builds bench_micro in Release and runs the tracked
-# hot-path benchmarks (broadcast fan-out, event-queue churn, counters, and
-# the BM_Sweep_Grid8 end-to-end sweep), appending the result as one labelled
-# point to BENCH_core.json.
+# hot-path benchmarks (broadcast fan-out, event-queue churn, counters,
+# SHA-256/HMAC/sign/verify, and the BM_Sweep_Grid8 end-to-end sweep),
+# appending the result as one labelled point to BENCH_core.json.
 #
 # Usage: scripts/bench.sh [--smoke] [--scale] [--label NAME] [build-dir]
 #   --smoke   1-iteration run to a temp file (CI bit-rot guard; does NOT
@@ -16,15 +16,16 @@
 #   --label   label recorded with the run (default: git describe)
 #   build-dir defaults to build-bench
 #
-#        scripts/bench.sh --ab REV_A REV_B --workload W|all [--pairs N]
+#        scripts/bench.sh --ab REV_A REV_B --workload W|all [--pairs N] [--seed S]
 #   --ab      paired A/B comparison of two committed revisions on one
 #             bench_suite workload, or on every workload BENCHMARK.json
 #             lists (--workload all, one after another, same builds). Each
 #             revision is exported with `git archive` into a temporary
 #             directory and its bench_suite built there in Release; then N
 #             pairs (default 10) of fresh `bench_suite --workload W --trace 0
-#             --seconds T` children run alternately, A B B A A B ..., so host
-#             drift hits both sides alike
+#             --seconds T --seed S` children run alternately, A B B A A B ...,
+#             so host drift hits both sides alike (S defaults to 1; rerun a
+#             claim on another seed to check it was not tuned to one)
 #             (T is BENCHMARK.json's run_seconds, the benchmark's own run
 #             length; each child reports the median of its own >= 3 repeats).
 #             Prints each pair's four end-to-end metrics (wall_s,
@@ -46,9 +47,10 @@ AB_A=""
 AB_B=""
 AB_WORKLOAD=""
 AB_PAIRS=10
+AB_SEED=1
 usage() {
   echo "usage: scripts/bench.sh [--smoke] [--scale] [--label NAME] [build-dir]"
-  echo "       scripts/bench.sh --ab REV_A REV_B --workload W|all [--pairs N]"
+  echo "       scripts/bench.sh --ab REV_A REV_B --workload W|all [--pairs N] [--seed S]"
 }
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -60,11 +62,12 @@ while [[ $# -gt 0 ]]; do
     --ab)
       [[ $# -ge 3 ]] || { echo "bench.sh: --ab needs two revisions (see --help)" >&2; exit 2; }
       AB_A="$2"; AB_B="$3"; shift 3 ;;
-    --workload|--pairs)
+    --workload|--pairs|--seed)
       [[ $# -ge 2 ]] || { echo "bench.sh: $1 needs a value (see --help)" >&2; exit 2; }
       case "$1" in
         --workload) AB_WORKLOAD="$2" ;;
         --pairs) AB_PAIRS="$2" ;;
+        --seed) AB_SEED="$2" ;;
       esac
       shift 2 ;;
     -h|--help) usage; exit 0 ;;
@@ -79,6 +82,8 @@ if [[ -n "$AB_A" ]]; then
     || { echo "bench.sh: --ab does not combine with --scale or --smoke" >&2; exit 2; }
   [[ "$AB_PAIRS" =~ ^[1-9][0-9]*$ ]] \
     || { echo "bench.sh: --pairs must be a positive integer" >&2; exit 2; }
+  [[ "$AB_SEED" =~ ^[0-9]+$ ]] \
+    || { echo "bench.sh: --seed must be a non-negative integer" >&2; exit 2; }
   AB_SECONDS="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
   SHA_A="$(git rev-parse --verify "$AB_A^{commit}")"
   SHA_B="$(git rev-parse --verify "$AB_B^{commit}")"
@@ -96,11 +101,11 @@ if [[ -n "$AB_A" ]]; then
   done
   A_BIN="$WORK/a/.bench_build/bench_suite" B_BIN="$WORK/b/.bench_build/bench_suite" \
   A_NAME="$AB_A@${SHA_A:0:12}" B_NAME="$AB_B@${SHA_B:0:12}" WORKLOAD="$AB_WORKLOAD" \
-  PAIRS="$AB_PAIRS" SECONDS_PER_RUN="$AB_SECONDS" python3 - <<'EOF'
+  PAIRS="$AB_PAIRS" SEED="$AB_SEED" SECONDS_PER_RUN="$AB_SECONDS" python3 - <<'EOF'
 import json, os, random, statistics, subprocess, sys
 
 env = os.environ
-pairs, seconds = int(env["PAIRS"]), env["SECONDS_PER_RUN"]
+pairs, seed, seconds = int(env["PAIRS"]), env["SEED"], env["SECONDS_PER_RUN"]
 workloads = [env["WORKLOAD"]]
 if workloads == ["all"]:
     workloads = [w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]]
@@ -112,7 +117,7 @@ higher_better = {"events_per_s"}
 
 def run(binary, workload):
     """One fresh bench_suite child: its end-to-end metrics and result digests."""
-    out = subprocess.run([binary, "--workload", workload, "--seed", "1", "--seconds", seconds,
+    out = subprocess.run([binary, "--workload", workload, "--seed", seed, "--seconds", seconds,
                           "--trace", "0"], capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
@@ -135,7 +140,7 @@ def interval(ratios, draws=10000):
 def compare(workload):
     """`pairs` alternating pairs on one workload: its summary dict."""
     print(f"bench.sh: A = {env['A_NAME']}, B = {env['B_NAME']}, workload {workload}, "
-          f"{pairs} pairs of fresh children, --seconds {seconds}", flush=True)
+          f"{pairs} pairs of fresh children, --seconds {seconds} --seed {seed}", flush=True)
     values = {"A": {m: [] for m in metrics}, "B": {m: [] for m in metrics}}
     ratios = {m: [] for m in metrics}
     digests = {"A": set(), "B": set()}
@@ -182,7 +187,8 @@ for w, r in results.items():
     print(f"summary {w}: " + "; ".join(
         f"{m} B/A {r[m]['median']:.3f} [{r[m]['ci95'][0]:.3f}, {r[m]['ci95'][1]:.3f}] "
         f"B better {r[m]['b_better']}/{pairs}" for m in metrics))
-print(json.dumps({"a": env["A_NAME"], "b": env["B_NAME"], "workloads": results}))
+print(json.dumps({"a": env["A_NAME"], "b": env["B_NAME"], "seed": int(seed),
+                  "workloads": results}))
 EOF
   exit 0
 fi
@@ -316,7 +322,7 @@ EOF
   exit 0
 fi
 
-FILTER='BM_Broadcast_N64|BM_Broadcast_N256|BM_Broadcast_N4096|BM_Broadcast_N65536|BM_TopoSwitch_Epochs|BM_EventQueue_Churn|BM_Counters|BM_Sweep_Grid8|BM_CellFingerprint|BM_StoreLookup'
+FILTER='BM_Broadcast_N64|BM_Broadcast_N256|BM_Broadcast_N4096|BM_Broadcast_N65536|BM_TopoSwitch_Epochs|BM_EventQueue_Churn|BM_Counters|BM_Sweep_Grid8|BM_CellFingerprint|BM_StoreLookup|BM_Sha256_64B|BM_HmacSha256|BM_SignRoundMessage|BM_VerifyRoundMessage'
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j --target bench_micro

@@ -45,9 +45,10 @@
 #            it; any sanitizer report fails the gate.
 #   --tsan   additionally build under ThreadSanitizer (<build-dir>-tsan) and
 #            run the suites that exercise the parallel engine's worker pool
-#            (parallel_sim, simulator, event_queue, counters) and the key
-#            registry its workers share (signature); any data-race report
-#            fails the gate.
+#            (parallel_sim, simulator, event_queue, counters), the key
+#            registry its workers share (signature) and the SHA-256 kernels
+#            behind it (sha256, whose kernel is picked on first use); any
+#            data-race report fails the gate.
 #
 # Uses a separate build directory so the strict flags never pollute an
 # incremental developer build.
@@ -344,9 +345,10 @@ if [[ "$RUN_TSAN" -eq 1 ]]; then
     -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$BUILD_DIR-tsan" -j \
-    --target test_parallel_sim test_simulator test_event_queue test_counters test_signature
+    --target test_parallel_sim test_simulator test_event_queue test_counters test_signature \
+    test_sha256
   ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
-    -R '^(test_parallel_sim|test_simulator|test_event_queue|test_counters|test_signature)$'
+    -R '^(test_parallel_sim|test_simulator|test_event_queue|test_counters|test_signature|test_sha256)$'
   echo "check.sh: tsan suite OK"
 fi
 echo "check.sh: all green"

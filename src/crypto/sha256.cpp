@@ -4,6 +4,11 @@
 
 #include "util/contracts.h"
 
+#if defined(STCLOCK_HAVE_SHA_NI_KERNEL)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace stclock::crypto {
 
 namespace {
@@ -25,14 +30,119 @@ constexpr std::uint32_t rotr(std::uint32_t x, int k) {
   return (x >> k) | (x << (32 - k));
 }
 
+#if defined(STCLOCK_HAVE_SHA_NI_KERNEL)
+
+#define STCLOCK_SHA_NI_TARGET __attribute__((target("sha,ssse3,sse4.1")))
+
+/// Four rounds of the SHA-NI kernel, group `G` of 16 (rounds 4G..4G+3).
+/// `msg[G % 4]` holds schedule words W[4G..4G+3]; groups 0-3 load them from
+/// the block, and each group also advances the schedule for the groups
+/// after it (sha256msg1 three groups ahead, sha256msg2 one group ahead),
+/// as in Intel's reference sequence. Inlined into `compress_shani`, where
+/// the 16 calls unroll the whole compression.
+template <int G>
+STCLOCK_SHA_NI_TARGET __attribute__((always_inline)) inline void four_rounds(
+    __m128i& abef, __m128i& cdgh, __m128i (&msg)[4], const std::uint8_t* block) {
+  // pshufb mask turning each big-endian word of the block into a lane.
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  if constexpr (G < 4) {
+    msg[G] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * G)), bswap);
+  }
+  __m128i wk = _mm_add_epi32(
+      msg[G % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[4 * G])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  if constexpr (G >= 3 && G <= 14) {
+    __m128i& next = msg[(G + 1) % 4];
+    next = _mm_add_epi32(next, _mm_alignr_epi8(msg[G % 4], msg[(G + 3) % 4], 4));
+    next = _mm_sha256msg2_epu32(next, msg[G % 4]);
+  }
+  wk = _mm_shuffle_epi32(wk, 0x0e);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+  if constexpr (G >= 1 && G <= 12) {
+    msg[(G + 3) % 4] = _mm_sha256msg1_epu32(msg[(G + 3) % 4], msg[G % 4]);
+  }
+}
+
+#endif  // STCLOCK_HAVE_SHA_NI_KERNEL
+
+/// The kernel `Sha256::compress` runs, picked on first use. A function-local
+/// static, so the parallel engine's workers may race to the first call.
+struct Kernel {
+  void (*compress)(Sha256::State&, const std::uint8_t*);
+  const char* name;
+};
+
+const Kernel& selected_kernel() {
+  static const Kernel kernel = []() -> Kernel {
+#if defined(STCLOCK_HAVE_SHA_NI_KERNEL)
+    if (detail::has_sha_extensions()) return {detail::compress_shani, "sha-ni"};
+    return {detail::compress_portable, "portable (no SHA extensions)"};
+#else
+    return {detail::compress_portable, "portable (not x86-64)"};
+#endif
+  }();
+  return kernel;
+}
+
 }  // namespace
 
-Sha256::Sha256() : state_(kInitialState) {}
+namespace detail {
 
-Sha256::Sha256(const State& state, std::uint64_t blocks)
-    : state_(state), total_bits_(blocks * 512) {}
+bool has_sha_extensions() {
+#if defined(STCLOCK_HAVE_SHA_NI_KERNEL)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_SHA) != 0;
+#else
+  return false;
+#endif
+}
 
-void Sha256::compress(State& state, const std::uint8_t* block) {
+#if defined(STCLOCK_HAVE_SHA_NI_KERNEL)
+
+STCLOCK_SHA_NI_TARGET void compress_shani(Sha256::State& state, const std::uint8_t* block) {
+  // The round instructions want the state as (A,B,E,F) and (C,D,G,H).
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i badc = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(badc, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, badc, 0xf0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i msg[4] = {};
+  four_rounds<0>(abef, cdgh, msg, block);
+  four_rounds<1>(abef, cdgh, msg, block);
+  four_rounds<2>(abef, cdgh, msg, block);
+  four_rounds<3>(abef, cdgh, msg, block);
+  four_rounds<4>(abef, cdgh, msg, block);
+  four_rounds<5>(abef, cdgh, msg, block);
+  four_rounds<6>(abef, cdgh, msg, block);
+  four_rounds<7>(abef, cdgh, msg, block);
+  four_rounds<8>(abef, cdgh, msg, block);
+  four_rounds<9>(abef, cdgh, msg, block);
+  four_rounds<10>(abef, cdgh, msg, block);
+  four_rounds<11>(abef, cdgh, msg, block);
+  four_rounds<12>(abef, cdgh, msg, block);
+  four_rounds<13>(abef, cdgh, msg, block);
+  four_rounds<14>(abef, cdgh, msg, block);
+  four_rounds<15>(abef, cdgh, msg, block);
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // STCLOCK_HAVE_SHA_NI_KERNEL
+
+void compress_portable(Sha256::State& state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -74,6 +184,17 @@ void Sha256::compress(State& state, const std::uint8_t* block) {
   state[5] += f;
   state[6] += g;
   state[7] += h;
+}
+
+}  // namespace detail
+
+Sha256::Sha256() : state_(kInitialState) {}
+
+Sha256::Sha256(const State& state, std::uint64_t blocks)
+    : state_(state), total_bits_(blocks * 512) {}
+
+void Sha256::compress(State& state, const std::uint8_t* block) {
+  selected_kernel().compress(state, block);
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
@@ -144,5 +265,7 @@ Digest sha256(std::string_view s) {
   h.update(s);
   return h.finish();
 }
+
+const char* sha256_kernel() { return selected_kernel().name; }
 
 }  // namespace stclock::crypto

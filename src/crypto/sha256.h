@@ -7,9 +7,28 @@
 
 #include "util/bytes.h"
 
-/// SHA-256 (FIPS 180-4), implemented from scratch so the repository has no
-/// external crypto dependency. Used by HMAC-SHA256, which in turn backs the
-/// simulated signature scheme in crypto/signature.h.
+/// SHA-256 (FIPS 180-4), with no external crypto dependency. Used by
+/// HMAC-SHA256, which in turn backs the simulated signature scheme in
+/// crypto/signature.h.
+///
+/// Every block goes through `Sha256::compress`, which runs one of two
+/// kernels:
+///
+///  - the portable kernel, the FIPS 180-4 round loop in plain C++ (~350 ns
+///    per block on a 2020s x86-64 core); the only kernel on hosts without
+///    the SHA extensions and on every non-x86-64 build;
+///  - the SHA-NI kernel, the x86-64 SHA extensions (sha256rnds2,
+///    sha256msg1/2) with all sixteen four-round groups unrolled (~70 ns per
+///    block). Only this function is compiled for those instructions, so the
+///    binary still runs on any x86-64 CPU.
+///
+/// The kernel is chosen once per process from CPUID: SHA-NI when leaf 7
+/// reports SHA (EBX bit 29) and leaf 1 reports SSSE3 and SSE4.1, otherwise
+/// portable. Both compute the same function, so digests, MACs and every
+/// result built on them are byte-identical whichever one runs; that is why
+/// there is no knob (environment variable, CMake option or -march) to pick
+/// one, and why the choice stays out of the engine fingerprint.
+/// `sha256_kernel()` names the choice; `scenrun --version` prints it.
 namespace stclock::crypto {
 
 inline constexpr std::size_t kDigestSize = 32;
@@ -29,8 +48,9 @@ class Sha256 {
   /// into `state`, as when HMAC starts from a precomputed key schedule.
   Sha256(const State& state, std::uint64_t blocks);
 
-  /// The compression function: folds one 64-byte block into `state`. Every
-  /// block this hasher consumes goes through it.
+  /// The compression function: folds one 64-byte block into `state` with
+  /// the kernel chosen for this process. Every block this hasher consumes
+  /// goes through it. `block` needs no alignment.
   static void compress(State& state, const std::uint8_t* block);
 
   void update(std::span<const std::uint8_t> data);
@@ -50,5 +70,27 @@ class Sha256 {
 /// One-shot convenience.
 [[nodiscard]] Digest sha256(std::span<const std::uint8_t> data);
 [[nodiscard]] Digest sha256(std::string_view s);
+
+/// The kernel `Sha256::compress` runs in this process, and why:
+/// "sha-ni", "portable (no SHA extensions)" or "portable (not x86-64)".
+[[nodiscard]] const char* sha256_kernel();
+
+/// The two kernels, callable directly so tests can compare them on any
+/// host. Production code calls `Sha256::compress`.
+namespace detail {
+
+void compress_portable(Sha256::State& state, const std::uint8_t* block);
+
+/// Whether this CPU has the SHA extensions plus the SSSE3 and SSE4.1
+/// shuffles the SHA-NI kernel uses. Always false off x86-64.
+[[nodiscard]] bool has_sha_extensions();
+
+#if defined(__x86_64__)
+#define STCLOCK_HAVE_SHA_NI_KERNEL 1
+/// Requires `has_sha_extensions()`: on a CPU without them it faults.
+void compress_shani(Sha256::State& state, const std::uint8_t* block);
+#endif
+
+}  // namespace detail
 
 }  // namespace stclock::crypto

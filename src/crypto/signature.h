@@ -29,7 +29,11 @@
 /// and key XOR opad blocks, 64 bytes per node. A sign or verify over a round
 /// payload (20 bytes) then costs two compressions, one for the padded
 /// payload block and one for the outer hash, where HMAC from the raw key
-/// costs four; the MAC bytes are the same. The schedules are all built in
+/// costs four; the MAC bytes are the same. On x86-64 with the SHA
+/// extensions those two compressions run on the SHA-NI kernel, and a sign
+/// or verify takes ~0.25 us; on the portable kernel it takes ~0.8 us
+/// (crypto/sha256.h). Building the registry costs four compressions per
+/// node plus the master key's schedule. The schedules are all built in
 /// the constructor and never written again: the parallel engine's workers
 /// verify against one registry concurrently, so a lazily filled cache would
 /// be a data race.

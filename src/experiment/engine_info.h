@@ -23,6 +23,12 @@ inline constexpr const char* kEngineVersion = "stclock-engine/13.0";
 /// Build-configuration facts that can change numeric results without any
 /// source change: compiler identity, optimization/NDEBUG mode, and the
 /// floating-point evaluation method. Returned as a readable key=value list.
+///
+/// The SHA-256 kernel picked at run time (crypto/sha256.h: SHA-NI or
+/// portable) is deliberately left out: both kernels compute the same bytes,
+/// so a result cached on a host with SHA-NI is valid on one without, and
+/// folding the kernel in would split one store's keys by host CPU.
+/// `scenrun --version` reports it on a line of its own instead.
 [[nodiscard]] std::string engine_build_salt();
 
 /// "<kEngineVersion>+<digest of engine_build_salt()>": the string folded

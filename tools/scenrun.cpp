@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "experiment/engine_info.h"
 #include "experiment/sinks.h"
 #include "experiment/sweep.h"
@@ -45,7 +46,8 @@ int usage(std::ostream& os, int code) {
         "  --no-cache    with --store: recompute every cell, refresh the store\n"
         "  --count       print the number of grid cells and exit\n"
         "  --list        print cell indices and labels and exit\n"
-        "  --version     print the engine fingerprint (part of every cache key)\n";
+        "  --version     print the engine fingerprint (part of every cache key) and,\n"
+        "                on a second line, the SHA-256 kernel this host runs\n";
   return code;
 }
 
@@ -82,7 +84,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") return usage(std::cout, 0);
     if (arg == "--version") {
-      std::cout << experiment::engine_fingerprint() << "\n";
+      std::cout << experiment::engine_fingerprint() << "\n"
+                << "sha256: " << crypto::sha256_kernel() << "\n";
       return 0;
     }
     if (arg == "--count") {
