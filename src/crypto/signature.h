@@ -31,9 +31,10 @@
 /// payload block and one for the outer hash, where HMAC from the raw key
 /// costs four; the MAC bytes are the same. On x86-64 with the SHA
 /// extensions those two compressions run on the SHA-NI kernel, and a sign
-/// or verify takes ~0.25 us; on the portable kernel it takes ~0.8 us
-/// (crypto/sha256.h). Building the registry costs four compressions per
-/// node plus the master key's schedule. The schedules are all built in
+/// or verify takes ~0.22 us; on the portable kernel it takes ~0.7 us
+/// (crypto/sha256.h; bench_micro BM_SignRoundMessage, 2.1 GHz x86-64).
+/// Building the registry costs four compressions per node plus the master
+/// key's schedule. The schedules are all built in
 /// the constructor and never written again: the parallel engine's workers
 /// verify against one registry concurrently, so a lazily filled cache would
 /// be a data race.
