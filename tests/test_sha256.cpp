@@ -97,7 +97,7 @@ TEST(Sha256, DistinctInputsDistinctDigests) {
 // --- The two compression kernels ---------------------------------------------
 
 std::string hex_of_state(const Sha256::State& state) {
-  Digest d;
+  Digest d{};
   for (int i = 0; i < 8; ++i) {
     for (int b = 0; b < 4; ++b) d[4 * i + b] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * b));
   }
