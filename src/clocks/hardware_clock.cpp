@@ -15,6 +15,7 @@ void HardwareClock::set_rate_from(RealTime from, double rate) {
   ST_REQUIRE(rate > 0, "HardwareClock: rate must be positive");
   const Segment& last = segments_.back();
   ST_REQUIRE(from >= last.real_start, "HardwareClock: segments must be appended in order");
+  live_next_ = -kTimeInfinity;
   if (from == last.real_start) {
     segments_.back().rate = rate;
     return;
@@ -32,9 +33,11 @@ std::size_t HardwareClock::segment_at(RealTime t) const {
   return static_cast<std::size_t>(std::distance(segments_.begin(), it)) - 1;
 }
 
-LocalTime HardwareClock::read(RealTime t) const {
-  const Segment& s = segments_[segment_at(t)];
-  return s.local_start + s.rate * (t - s.real_start);
+LocalTime HardwareClock::read_slow(RealTime t) const {
+  const std::size_t i = segment_at(t);
+  live_ = segments_[i];
+  live_next_ = i + 1 < segments_.size() ? segments_[i + 1].real_start : kTimeInfinity;
+  return local_at(live_, t);
 }
 
 RealTime HardwareClock::when_reads(LocalTime local) const {

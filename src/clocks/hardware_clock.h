@@ -13,6 +13,24 @@
 /// trajectory up front; protocols may only *read* the clock. Because H is
 /// strictly increasing it is invertible, which the simulator uses to turn
 /// "wake me when my clock reads L" into a real-time event.
+///
+/// Read cache. `read(t)` is inline: the clock keeps a copy of its live
+/// segment (`live_`) and the next segment's start (`live_next_`, +inf for
+/// the last one), and a read with live_.real_start <= t < live_next_
+/// evaluates the segment's expression on that copy without searching. Any
+/// other t takes the out-of-line search, which refreshes the copy. Both
+/// paths evaluate `local_at`, so a hit and a search give the same bits.
+/// `set_rate_from` invalidates the copy (live_next_ = -inf, so every t
+/// misses), as does construction. A hit needs t >= live_.real_start >= 0,
+/// so negative times still reach the search and still throw.
+///
+/// The copy is written on read through `mutable` members, so a clock is not
+/// safe to read from two threads at once. Today no clock is: simulations
+/// own their clocks, and the parallel engine (sim/simulator_parallel.cpp)
+/// alternates two phases behind a barrier. In its execute phase a node's
+/// clock is read only by the worker that owns the node; in its commit phase
+/// only the main thread reads clocks. Deleting the parallel engine (ROADMAP
+/// item 3) removes the need for this two-phase argument.
 namespace stclock {
 
 class HardwareClock {
@@ -26,7 +44,10 @@ class HardwareClock {
   void set_rate_from(RealTime from, double rate);
 
   /// H(t): local reading at real time t >= 0.
-  [[nodiscard]] LocalTime read(RealTime t) const;
+  [[nodiscard]] LocalTime read(RealTime t) const {
+    if (live_.real_start <= t && t < live_next_) return local_at(live_, t);
+    return read_slow(t);
+  }
 
   /// Inverse: the unique real time at which the clock reads `local`.
   /// Requires local >= initial value.
@@ -52,10 +73,22 @@ class HardwareClock {
     double rate;
   };
 
+  /// Tests compare the cached read with the search through this.
+  friend struct ClockCacheProbe;
+
+  [[nodiscard]] static LocalTime local_at(const Segment& s, RealTime t) {
+    return s.local_start + s.rate * (t - s.real_start);
+  }
+
   /// Index of the segment containing real time t.
   [[nodiscard]] std::size_t segment_at(RealTime t) const;
 
+  /// The search behind a cache miss: refreshes the live copy, then reads.
+  [[nodiscard]] LocalTime read_slow(RealTime t) const;
+
   std::vector<Segment> segments_;
+  mutable Segment live_{};
+  mutable RealTime live_next_ = -kTimeInfinity;
 };
 
 }  // namespace stclock

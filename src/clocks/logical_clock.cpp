@@ -19,14 +19,15 @@ std::size_t LogicalClock::piece_at(LocalTime h) const {
   return static_cast<std::size_t>(std::distance(pieces_.begin(), it)) - 1;
 }
 
-LocalTime LogicalClock::read_at_hardware(LocalTime h) const {
-  const Piece& p = pieces_[piece_at(h)];
-  return p.value + p.slope * (h - p.h_start);
+LocalTime LogicalClock::read_slow(LocalTime h) const {
+  const std::size_t i = piece_at(h);
+  live_ = pieces_[i];
+  live_next_ = i + 1 < pieces_.size() ? pieces_[i + 1].h_start : kTimeInfinity;
+  return value_at(live_, h);
 }
 
-LocalTime LogicalClock::read(RealTime t) const { return read_at_hardware(hw_->read(t)); }
-
 void LogicalClock::record(Duration delta) {
+  live_next_ = -kTimeInfinity;
   total_adjustment_ += delta;
   max_abs_adjustment_ = std::max(max_abs_adjustment_, std::abs(delta));
   ++adjustment_count_;

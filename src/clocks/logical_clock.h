@@ -22,6 +22,27 @@
 ///
 /// All adjustments must be appended in increasing hardware time; the class
 /// records the full history so experiments can audit every correction.
+///
+/// Read cache. `read_at_hardware(h)` is inline: the clock keeps a copy of
+/// its live piece (`live_`) and the next piece's start (`live_next_`, +inf
+/// for the last one), and a read with live_.h_start <= h < live_next_
+/// evaluates the piece's expression on that copy without searching; any
+/// other h takes the out-of-line search, which refreshes the copy. Both
+/// paths evaluate `value_at`, so a hit and a search give the same bits.
+/// `read(t)` is the hardware clock's cached read followed by this one.
+/// Every adjustment (`adjust_instant`, `adjust_amortized`, `adjust_override`,
+/// including the override's pop of a ramp still in flight) goes through
+/// `record()`, which invalidates the copy (live_next_ = -inf, so every h
+/// misses), as does construction. A hit needs h >= live_.h_start >= the
+/// clock's start, so reads before the start still reach the search and
+/// still throw.
+///
+/// As with HardwareClock, the copy is written on read, so a clock is not
+/// safe to read from two threads at once. Today no clock is: the parallel
+/// engine reads a node's clock only from the worker that owns the node in
+/// its execute phase, and only from the main thread in its commit phase,
+/// with a barrier between the two. Deleting the parallel engine (ROADMAP
+/// item 3) removes the need for this two-phase argument.
 namespace stclock {
 
 class LogicalClock {
@@ -31,10 +52,13 @@ class LogicalClock {
   explicit LogicalClock(const HardwareClock& hw);
 
   /// Logical reading at hardware time h (right-continuous at jumps).
-  [[nodiscard]] LocalTime read_at_hardware(LocalTime h) const;
+  [[nodiscard]] LocalTime read_at_hardware(LocalTime h) const {
+    if (live_.h_start <= h && h < live_next_) return value_at(live_, h);
+    return read_slow(h);
+  }
 
   /// Logical reading at real time t.
-  [[nodiscard]] LocalTime read(RealTime t) const;
+  [[nodiscard]] LocalTime read(RealTime t) const { return read_at_hardware(hw_->read(t)); }
 
   /// Applies `delta` instantaneously at hardware time h_now.
   void adjust_instant(LocalTime h_now, Duration delta);
@@ -84,11 +108,23 @@ class LogicalClock {
     double slope;        // dL/dh within the piece
   };
 
+  /// Tests compare the cached read with the search through this.
+  friend struct ClockCacheProbe;
+
+  [[nodiscard]] static LocalTime value_at(const Piece& p, LocalTime h) {
+    return p.value + p.slope * (h - p.h_start);
+  }
+
   [[nodiscard]] std::size_t piece_at(LocalTime h) const;
+  /// The search behind a cache miss: refreshes the live copy, then reads.
+  [[nodiscard]] LocalTime read_slow(LocalTime h) const;
+  /// Books an adjustment and invalidates the live copy.
   void record(Duration delta);
 
   const HardwareClock* hw_;
   std::vector<Piece> pieces_;
+  mutable Piece live_{};
+  mutable LocalTime live_next_ = -kTimeInfinity;
   Duration total_adjustment_ = 0;
   Duration max_abs_adjustment_ = 0;
   std::size_t adjustment_count_ = 0;
