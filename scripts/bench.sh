@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Perf trajectory runner: builds bench_micro in Release and runs the tracked
 # hot-path benchmarks (broadcast fan-out, event-queue churn, counters,
-# SHA-256/HMAC/sign/verify, and the BM_Sweep_Grid8 end-to-end sweep),
-# appending the result as one labelled point to BENCH_core.json.
+# SHA-256/HMAC/sign/verify, hardware and logical clock reads, and the
+# BM_Sweep_Grid8 end-to-end sweep) 5 times each, appending the result as one
+# labelled point to BENCH_core.json: per benchmark, the median time and its
+# min..max over the repetitions.
 #
 # Usage: scripts/bench.sh [--smoke] [--scale] [--label NAME] [build-dir]
 #   --smoke   1-iteration run to a temp file (CI bit-rot guard; does NOT
@@ -322,7 +324,11 @@ EOF
   exit 0
 fi
 
-FILTER='BM_Broadcast_N64|BM_Broadcast_N256|BM_Broadcast_N4096|BM_Broadcast_N65536|BM_TopoSwitch_Epochs|BM_EventQueue_Churn|BM_Counters|BM_Sweep_Grid8|BM_CellFingerprint|BM_StoreLookup|BM_Sha256_64B|BM_HmacSha256|BM_SignRoundMessage|BM_VerifyRoundMessage'
+FILTER='BM_Broadcast_N64|BM_Broadcast_N256|BM_Broadcast_N4096|BM_Broadcast_N65536|BM_TopoSwitch_Epochs|BM_EventQueue_Churn|BM_Counters|BM_Sweep_Grid8|BM_CellFingerprint|BM_StoreLookup|BM_Sha256_64B|BM_HmacSha256|BM_SignRoundMessage|BM_VerifyRoundMessage|BM_HardwareClockRead|BM_LogicalClockRead'
+# Each tracked benchmark runs this many times; a BENCH_core.json row
+# records the median and the min..max spread over them, because a single
+# run of one binary can swing by more than the changes it is used to judge.
+REPETITIONS=5
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j --target bench_micro
@@ -334,12 +340,13 @@ fi
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-EXTRA=()
+EXTRA=(--benchmark_repetitions="$REPETITIONS")
 if [[ "$SMOKE" -eq 1 ]]; then
-  # Near-zero min_time: each benchmark runs a handful of iterations, just
-  # enough to prove the binaries still build and execute. (The "1x"
-  # iteration syntax needs google-benchmark >= 1.8, which the image lacks.)
-  EXTRA+=(--benchmark_min_time=0.001)
+  # Near-zero min_time and one repetition: each benchmark runs a handful of
+  # iterations, just enough to prove the binaries still build and execute.
+  # (The "1x" iteration syntax needs google-benchmark >= 1.8, which the
+  # image lacks.)
+  EXTRA=(--benchmark_min_time=0.001)
 fi
 
 "$BUILD_DIR/bench_micro" \
@@ -356,18 +363,32 @@ fi
 # Append this run to the perf trajectory. Requires python3 (baked into the
 # dev image); the raw google-benchmark JSON is preserved verbatim per run.
 LABEL="$LABEL" RAW="$RAW" python3 - <<'EOF'
-import json, os
+import json, os, statistics
 
 raw = json.load(open(os.environ["RAW"]))
+# One row per benchmark from its repetitions (google-benchmark's own
+# aggregates are skipped): the median of each time, and its min..max.
+runs = {}
+for b in raw["benchmarks"]:
+    if b.get("run_type", "iteration") == "iteration":
+        runs.setdefault(b.get("run_name", b["name"]), []).append(b)
+rows = []
+for name, reps in runs.items():
+    row = {"name": name, "repetitions": len(reps), "iterations": reps[0]["iterations"],
+           "time_unit": reps[0]["time_unit"]}
+    for k in ("real_time", "cpu_time", "items_per_second"):
+        if k in reps[0]:
+            values = [r[k] for r in reps]
+            row[k] = statistics.median(values)
+            row[k + "_min"], row[k + "_max"] = min(values), max(values)
+    rows.append(row)
 point = {
     "label": os.environ["LABEL"],
     "date": raw["context"]["date"],
     "host": {k: raw["context"].get(k) for k in ("num_cpus", "mhz_per_cpu", "library_build_type")},
-    "benchmarks": [
-        {k: b.get(k) for k in ("name", "iterations", "real_time", "cpu_time",
-                               "time_unit", "items_per_second") if k in b}
-        for b in raw["benchmarks"]
-    ],
+    "method": "real_time, cpu_time and items_per_second are medians over the row's "
+              "repetitions; *_min and *_max are their spread",
+    "benchmarks": rows,
 }
 
 path = "BENCH_core.json"

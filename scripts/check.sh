@@ -47,8 +47,11 @@
 #            run the suites that exercise the parallel engine's worker pool
 #            (parallel_sim, simulator, event_queue, counters), the key
 #            registry its workers share (signature) and the SHA-256 kernels
-#            behind it (sha256, whose kernel is picked on first use); any
-#            data-race report fails the gate.
+#            behind it (sha256, whose kernel is picked on first use), and
+#            skew_pruning, whose golden pass on the parallel engine reads
+#            clocks from the commit-time hook (clock reads refresh each
+#            clock's read cache, so that is a write outside the owning
+#            worker); any data-race report fails the gate.
 #
 # Uses a separate build directory so the strict flags never pollute an
 # incremental developer build.
@@ -337,8 +340,8 @@ fi
 if [[ "$RUN_TSAN" -eq 1 ]]; then
   # TSan watches the worker pool's actual interleavings, so run only the
   # suites that spin it up (plus the queue, counter and key-registry
-  # structures it shares); the full tree under TSan would multiply CI time
-  # for no extra coverage.
+  # structures it shares, and the clock reads its commit phase makes); the
+  # full tree under TSan would multiply CI time for no extra coverage.
   TSAN_FLAGS="-fsanitize=thread -g -O1 -fno-omit-frame-pointer"
   cmake -B "$BUILD_DIR-tsan" -S . \
     -DCMAKE_BUILD_TYPE=Debug \
@@ -346,9 +349,9 @@ if [[ "$RUN_TSAN" -eq 1 ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$BUILD_DIR-tsan" -j \
     --target test_parallel_sim test_simulator test_event_queue test_counters test_signature \
-    test_sha256
+    test_sha256 test_skew_pruning
   ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
-    -R '^(test_parallel_sim|test_simulator|test_event_queue|test_counters|test_signature|test_sha256)$'
+    -R '^(test_parallel_sim|test_simulator|test_event_queue|test_counters|test_signature|test_sha256|test_skew_pruning)$'
   echo "check.sh: tsan suite OK"
 fi
 echo "check.sh: all green"
