@@ -48,10 +48,10 @@
 #            (parallel_sim, simulator, event_queue, counters), the key
 #            registry its workers share (signature) and the SHA-256 kernels
 #            behind it (sha256, whose kernel is picked on first use), and
-#            skew_pruning, whose golden pass on the parallel engine reads
-#            clocks from the commit-time hook (clock reads refresh each
-#            clock's read cache, so that is a write outside the owning
-#            worker); any data-race report fails the gate.
+#            skew_pruning and logical_clock, whose golden passes on the
+#            parallel engine read clocks from the commit-time hook (clock
+#            reads refresh each clock's read cache, so that is a write
+#            outside the owning worker); any data-race report fails the gate.
 #
 # Uses a separate build directory so the strict flags never pollute an
 # incremental developer build.
@@ -349,9 +349,9 @@ if [[ "$RUN_TSAN" -eq 1 ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$BUILD_DIR-tsan" -j \
     --target test_parallel_sim test_simulator test_event_queue test_counters test_signature \
-    test_sha256 test_skew_pruning
+    test_sha256 test_skew_pruning test_logical_clock
   ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
-    -R '^(test_parallel_sim|test_simulator|test_event_queue|test_counters|test_signature|test_sha256|test_skew_pruning)$'
+    -R '^(test_parallel_sim|test_simulator|test_event_queue|test_counters|test_signature|test_sha256|test_skew_pruning|test_logical_clock)$'
   echo "check.sh: tsan suite OK"
 fi
 echo "check.sh: all green"
